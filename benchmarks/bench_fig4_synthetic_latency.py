@@ -56,9 +56,12 @@ def _check_shape(curves):
         assert curve.latencies()[-1] >= curve.latencies()[0] * 0.8
     # Adaptive selection does not lose to Elevator-First at the heaviest
     # swept load.  CDA (oracle information) must clearly beat the baseline;
-    # AdEle is allowed noise head-room because its online adaptation needs
-    # longer windows than these short bench runs to converge (the deviation
-    # on PM-uniform is discussed in EXPERIMENTS.md).
+    # AdEle gets 1.25x head-room (and 1.3x over RR below): its EWMA elevator
+    # costs (Eq. 7) start from zero and are assumed to need longer windows
+    # than these short single-seed runs to converge, which would let AdEle
+    # trail Elevator-First at the heaviest load, most visibly on PM-uniform.
+    # That assumption is untested; ROADMAP item 5(c) measures when the
+    # costs converge, and only a tighter bound may follow from it.
     heavy = curves["elevator_first"].rates()[-1]
     baseline = curves["elevator_first"].latency_at(heavy)
     assert curves["cda"].latency_at(heavy) <= baseline * 1.1

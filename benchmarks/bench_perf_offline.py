@@ -1,4 +1,4 @@
-"""AMOSA iterations/second micro-benchmark: full vs incremental evaluation.
+"""Offline-stage micro-benchmark: AMOSA evaluation and the distance precompute.
 
 The companion of ``bench_perf_kernel.py`` for the *offline* stage: it runs
 the same AMOSA search twice on the 4x4x3 benchmark mesh -- once with the
@@ -10,6 +10,13 @@ pays O(changed-router + E)) -- verifies that the two runs produce
 contract means the annealing trajectories cannot diverge), and writes the
 timings to ``benchmarks/results/BENCH_perf_offline.json``.
 
+It also times :class:`~repro.core.objectives.ObjectiveEvaluator`
+construction -- the Eq. 4-5 distance precompute -- on the PS1, PS3 and PM
+placements under uniform traffic, against the per-pair reference loop that
+calls ``ElevatorPlacement.distance_via`` once per (source, destination,
+elevator) triple.  The evaluator's tables must equal the reference's
+exactly; any mismatch exits non-zero.
+
 Run it directly (tiny schedule for a CI smoke, defaults for a real number)::
 
     PYTHONPATH=src python benchmarks/bench_perf_offline.py
@@ -18,7 +25,8 @@ Run it directly (tiny schedule for a CI smoke, defaults for a real number)::
 
 Expected shape: the incremental evaluator yields >= 5x AMOSA iteration
 throughput at the default settings (the gap grows with mesh size, since the
-full evaluator scales with router count and the incremental one does not).
+full evaluator scales with router count and the incremental one does not),
+and the table build is over 20x faster than the reference loop on PM.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ import argparse
 import json
 import os
 import time
-from typing import Dict
+from typing import Dict, List, Tuple
 
+from repro.core import objectives
 from repro.core.amosa import AmosaConfig, AmosaOptimizer
+from repro.core.objectives import ObjectiveEvaluator
 from repro.core.subset_search import ElevatorSubsetProblem
-from repro.topology.elevators import ElevatorPlacement
+from repro.topology.elevators import ElevatorPlacement, standard_placement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.patterns import UniformTraffic
 
@@ -46,6 +56,9 @@ MESH = (4, 4, 3)
 ELEVATOR_COLUMNS = ((0, 0), (3, 3), (0, 3), (3, 0))
 MAX_SUBSET_SIZE = 4
 MODES = ("full", "incremental")
+#: Placements whose evaluator construction is timed: two 4x4x4 paper
+#: layouts and the 8x8x4 PM, where the precompute cost is largest.
+PRECOMPUTE_PLACEMENTS = ("PS1", "PS3", "PM")
 
 
 def make_config(args: argparse.Namespace) -> AmosaConfig:
@@ -126,8 +139,70 @@ def time_modes(config: AmosaConfig, args: argparse.Namespace) -> Dict[str, Dict]
     }
 
 
+def reference_tables(
+    placement: ElevatorPlacement, traffic: Dict
+) -> Tuple[Dict[int, List[float]], Dict[int, float]]:
+    """Eq. 4-5 distance sums and weights from one ``distance_via`` per triple."""
+    mesh = placement.mesh
+    distance_sum, distance_weight = {}, {}
+    for src in mesh.nodes():
+        sums = [0.0] * placement.num_elevators
+        weight_total = 0.0
+        for dst in mesh.nodes():
+            if dst == src or mesh.same_layer(src, dst):
+                continue
+            weight_total += 1.0
+            for elevator in placement.elevators:
+                sums[elevator.index] += placement.distance_via(src, dst, elevator)
+        distance_sum[src] = sums
+        distance_weight[src] = weight_total
+    return distance_sum, distance_weight
+
+
+def time_precompute(repeats: int) -> List[Dict]:
+    """Best-of-N reference loop vs evaluator construction, tables compared.
+
+    Exits non-zero unless every evaluator table equals the reference's
+    (``==`` on floats).
+    """
+    cells = []
+    for name in PRECOMPUTE_PLACEMENTS:
+        placement = standard_placement(name)
+        traffic = UniformTraffic(placement.mesh).traffic_matrix()
+        best_reference = best_table = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            expected = reference_tables(placement, traffic)
+            best_reference = min(best_reference, time.perf_counter() - start)
+            start = time.perf_counter()
+            evaluator = ObjectiveEvaluator(placement, traffic)
+            best_table = min(best_table, time.perf_counter() - start)
+            if (evaluator.distance_sum, evaluator._distance_weight) != expected:
+                raise SystemExit(
+                    f"{name}: evaluator distance tables differ from the "
+                    "per-pair reference (exactness contract broken)"
+                )
+        speedup = best_reference / best_table if best_table > 0 else float("inf")
+        print(
+            f"precompute {name:<4} reference {best_reference:.4f}s   "
+            f"tables {best_table:.4f}s   {speedup:.1f}x (identical tables)"
+        )
+        cells.append(
+            {
+                "placement": name,
+                "mesh": list(placement.mesh.shape),
+                "elevators": placement.num_elevators,
+                "reference_seconds": best_reference,
+                "table_seconds": best_table,
+                "speedup": speedup,
+            }
+        )
+    return cells
+
+
 def run_benchmark(args: argparse.Namespace) -> Dict:
     config = make_config(args)
+    precompute = time_precompute(args.repeats)
     cells = time_modes(config, args)
     full, incremental = cells["full"], cells["incremental"]
     # Bit-identity contract: identical trajectories all the way down --
@@ -173,6 +248,9 @@ def run_benchmark(args: argparse.Namespace) -> Dict:
         "results": list(cells.values()),
         "speedup": speedup,
         "archives_bit_identical": True,
+        "precompute": precompute,
+        "precompute_path": "numpy" if objectives._np is not None else "python",
+        "precompute_tables_identical": True,
     }
 
 
@@ -184,7 +262,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=7, help="annealing seed")
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timing repeats (best-of)"
+        "--repeats", type=int, default=5,
+        help="timing repeats (best-of), for AMOSA and the precompute"
     )
     parser.add_argument(
         "--out", default=RESULT_FILE, metavar="FILE",

@@ -22,7 +22,14 @@ Two evaluators implement the objectives:
 * :class:`ObjectiveEvaluator` precomputes the per-router inter-layer traffic
   mass and per-(router, elevator) distance sums so that evaluating one
   candidate subset assignment is ``O(N * |A_i|)`` instead of
-  ``O(N^2 * E)``;
+  ``O(N^2 * E)``.  The distance sums come from an integer leg table
+  (Eq. 4 as ``D^e_ij = leg[i][e] + |z_i - z_j| + leg[j][e]``), accumulated
+  over destinations in ascending id order -- with numpy, for all
+  (router, elevator) cells at once.  Every float operation, and its order,
+  is that of the per-pair loop over
+  :meth:`~repro.topology.elevators.ElevatorPlacement.distance_via` (a
+  skipped pair adds an exact ``+0.0``), so the tables are bit-identical to
+  it (property-tested in ``tests/test_objectives.py``);
 * :class:`DeltaObjectiveEvaluator` additionally keeps running aggregates of
   the per-router contribution terms, so re-evaluating after a perturbation
   that touches one router costs ``O(|A_i| + E)`` instead of ``O(N * |A_i|)``
@@ -234,11 +241,26 @@ def average_distance(
 def _interlayer_traffic_mass(
     placement: ElevatorPlacement, traffic: TrafficMatrix
 ) -> Dict[int, float]:
-    """Total inter-layer outgoing traffic frequency per source router."""
+    """Total inter-layer outgoing traffic frequency per source router.
+
+    Sums in the matrix's own iteration order.  Nonzero entries must name
+    in-range routers (``ValueError`` otherwise); zero entries are skipped
+    unchecked.
+    """
     mesh = placement.mesh
+    count = mesh.num_nodes
+    per_layer = mesh.nodes_per_layer
+    layer = [node // per_layer for node in range(count)]
     mass: Dict[int, float] = {}
     for (src, dst), weight in traffic.items():
-        if weight == 0.0 or mesh.same_layer(src, dst):
+        if weight == 0.0:
+            continue
+        if not (0 <= src < count and 0 <= dst < count):
+            bad = dst if 0 <= src < count else src
+            raise ValueError(
+                f"node id {bad} out of range for mesh with {count} nodes"
+            )
+        if layer[src] == layer[dst]:
             continue
         mass[src] = mass.get(src, 0.0) + weight
     return mass
@@ -282,31 +304,101 @@ class ObjectiveEvaluator:
         self.interlayer_mass: Dict[int, float] = _interlayer_traffic_mass(
             placement, traffic
         )
-        self.distance_sum: Dict[int, List[float]] = {}
-        self._distance_weight: Dict[int, float] = {}
-        self._precompute_distances()
+        self.distance_sum, self._distance_weight = self._precompute_distances()
 
-    def _precompute_distances(self) -> None:
+    def _precompute_distances(
+        self,
+    ) -> Tuple[Dict[int, List[float]], Dict[int, float]]:
+        """Per-router distance sums ``distance_sum`` and weights (Eq. 4-5).
+
+        Eq. 4 splits into integer tables: ``D^e_ij = leg[i][e] + |z_i - z_j|
+        + leg[j][e]``, where ``leg[i][e]`` is the intra-layer hop count from
+        router ``i`` to elevator column ``e`` -- the closed form of
+        :meth:`ElevatorPlacement.distance_via`.  Router ``i``'s sums add
+        ``weight * D^e_ij`` over its inter-layer destinations in ascending
+        id order, the same float operations in the same order as a per-pair
+        loop over ``distance_via``.  The numpy path runs that loop over
+        destinations for every (router, elevator) cell at once and adds an
+        exact ``+0.0`` where a pair is skipped (same layer, zero weight), so
+        both paths give bit-identical tables.
+        """
         mesh = self.mesh
-        placement = self.placement
-        for src in mesh.nodes():
+        per_layer = mesh.nodes_per_layer
+        columns = self.placement.columns()
+        layer: List[int] = []
+        leg: List[List[int]] = []
+        for node in range(mesh.num_nodes):
+            z, rest = divmod(node, per_layer)
+            y, x = divmod(rest, mesh.size_x)
+            layer.append(z)
+            leg.append([abs(x - cx) + abs(y - cy) for cx, cy in columns])
+        if _np is not None:
+            sums, totals = self._distance_tables_numpy(layer, leg)
+        else:
+            sums, totals = self._distance_tables_python(layer, leg)
+        return dict(enumerate(sums)), dict(enumerate(totals))
+
+    def _distance_tables_numpy(
+        self, layer: List[int], leg: List[List[int]]
+    ) -> Tuple[List[List[float]], List[float]]:
+        """Per-router distance sums and weight totals, vectorized over routers."""
+        count = len(layer)
+        z = _np.array(layer, dtype=_np.int64)
+        legs = _np.array(leg, dtype=_np.int64).reshape(count, self.num_elevators)
+        if self.weight_distance_by_traffic:
+            # Row ``dst`` holds the weight of every (src, dst) pair.  Only
+            # in-range keys are read (a negative index would wrap), as the
+            # per-pair ``traffic.get`` never looks at any other key.
+            rows = _np.zeros((count, count))
+            for (src, dst), weight in self.traffic.items():
+                if 0 <= src < count and 0 <= dst < count:
+                    rows[dst, src] = weight
+            rows[z[:, None] == z[None, :]] = 0.0
+            row_of: Sequence[int] = range(count)
+        else:
+            # Destinations on one layer share a row: 1.0 for every source
+            # on another layer; no (N, N) matrix is needed.
+            layers = _np.arange(self.mesh.size_z)[:, None]
+            rows = (z[None, :] != layers).astype(_np.float64)
+            row_of = layer
+        sums = _np.zeros((count, self.num_elevators))
+        totals = _np.zeros(count)
+        for dst in range(count):
+            weight = rows[row_of[dst]]
+            totals += weight
+            hops = _np.abs(z - z[dst])[:, None] + legs[dst]
+            sums += weight[:, None] * (legs + hops)
+        return sums.tolist(), totals.tolist()
+
+    def _distance_tables_python(
+        self, layer: List[int], leg: List[List[int]]
+    ) -> Tuple[List[List[float]], List[float]]:
+        """Per-router distance sums and weight totals, one pair at a time."""
+        traffic = self.traffic
+        weighted = self.weight_distance_by_traffic
+        elevators = range(self.num_elevators)
+        all_sums: List[List[float]] = []
+        totals: List[float] = []
+        for src, src_layer in enumerate(layer):
+            src_leg = leg[src]
             sums = [0.0] * self.num_elevators
             weight_total = 0.0
-            for dst in mesh.nodes():
-                if dst == src or mesh.same_layer(src, dst):
+            for dst, dst_layer in enumerate(layer):
+                if dst_layer == src_layer:
                     continue
                 weight = 1.0
-                if self.weight_distance_by_traffic:
-                    weight = self.traffic.get((src, dst), 0.0)
+                if weighted:
+                    weight = traffic.get((src, dst), 0.0)
                     if weight == 0.0:
                         continue
                 weight_total += weight
-                for elevator in placement.elevators:
-                    sums[elevator.index] += weight * placement.distance_via(
-                        src, dst, elevator
-                    )
-            self.distance_sum[src] = sums
-            self._distance_weight[src] = weight_total
+                hops = abs(src_layer - dst_layer)
+                dst_leg = leg[dst]
+                for index in elevators:
+                    sums[index] += weight * (src_leg[index] + hops + dst_leg[index])
+            all_sums.append(sums)
+            totals.append(weight_total)
+        return all_sums, totals
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -1,7 +1,12 @@
 """Unit tests for the offline optimization objectives (Eq. 1-5)."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import objectives
 from repro.core.objectives import (
     ObjectiveEvaluator,
     average_distance,
@@ -154,3 +159,110 @@ class TestObjectiveEvaluator:
         assert evaluator.average_distance(subsets) == pytest.approx(
             average_distance(subsets, placement), rel=1e-9
         )
+
+
+# --------------------------------------------------------------------- #
+# The precomputed Eq. 4-5 tables against the per-pair definition
+# --------------------------------------------------------------------- #
+def _reference_tables(placement, traffic, weighted):
+    """Per-router distance sums and weights, one ``distance_via`` per pair.
+
+    The straightforward loop the evaluator's tables must reproduce bit for
+    bit: destinations in ascending id order, same-layer pairs skipped and,
+    in the traffic-weighted mode, zero-weight pairs skipped.
+    """
+    mesh = placement.mesh
+    distance_sum, distance_weight = {}, {}
+    for src in mesh.nodes():
+        sums = [0.0] * placement.num_elevators
+        weight_total = 0.0
+        for dst in mesh.nodes():
+            if dst == src or mesh.same_layer(src, dst):
+                continue
+            weight = 1.0
+            if weighted:
+                weight = traffic.get((src, dst), 0.0)
+                if weight == 0.0:
+                    continue
+            weight_total += weight
+            for elevator in placement.elevators:
+                sums[elevator.index] += weight * placement.distance_via(
+                    src, dst, elevator
+                )
+        distance_sum[src] = sums
+        distance_weight[src] = weight_total
+    return distance_sum, distance_weight
+
+
+@st.composite
+def _placements_and_traffic(draw):
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    mesh = Mesh3D(*dims)
+    cells = [(x, y) for y in range(dims[1]) for x in range(dims[0])]
+    columns = draw(
+        st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True)
+    )
+    placement = ElevatorPlacement(mesh, columns, name="prop")
+    if mesh.num_nodes > 1 and draw(st.booleans()):
+        return placement, UniformTraffic(mesh).traffic_matrix()
+    # Sparse random weights, including the extreme magnitudes of the
+    # incremental evaluator's property tests.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    magnitudes = draw(st.sampled_from([(1.0,), (1e-300, 5e-17, 1.0, 7e120)]))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    traffic = {
+        (src, dst): rng.random() * rng.choice(magnitudes)
+        for src in mesh.nodes()
+        for dst in mesh.nodes()
+        if src != dst and rng.random() < density
+    }
+    return placement, traffic
+
+
+def _refuse_distance_via(self, src, dst, elevator):
+    raise AssertionError("the evaluator must not call distance_via")
+
+
+@pytest.mark.parametrize("path", ["numpy", "python"])
+@settings(max_examples=40, deadline=None)
+@given(case=_placements_and_traffic())
+def test_distance_tables_match_the_per_pair_loop_exactly(path, case):
+    if path == "numpy" and objectives._np is None:
+        pytest.skip("numpy is not installed")
+    placement, traffic = case
+    for weighted in (False, True):
+        expected = _reference_tables(placement, traffic, weighted)
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "python":
+                patch.setattr(objectives, "_np", None)
+            patch.setattr(ElevatorPlacement, "distance_via", _refuse_distance_via)
+            evaluator = ObjectiveEvaluator(
+                placement, traffic, weight_distance_by_traffic=weighted
+            )
+        assert (evaluator.distance_sum, evaluator._distance_weight) == expected
+        assert all(
+            type(value) is float
+            for sums in evaluator.distance_sum.values()
+            for value in sums
+        )
+        assert all(type(value) is float for value in evaluator._distance_weight.values())
+
+
+@pytest.mark.parametrize("path", ["numpy", "python"])
+def test_out_of_range_traffic_keys(path, monkeypatch):
+    if path == "numpy" and objectives._np is None:
+        pytest.skip("numpy is not installed")
+    if path == "python":
+        monkeypatch.setattr(objectives, "_np", None)
+    placement = ElevatorPlacement(Mesh3D(2, 2, 2), [(0, 0)])
+    last = placement.mesh.num_nodes - 1
+    # A zero-weight key with a negative id is ignored; it must not alias
+    # router ``last`` (as a wrapped array index would).
+    traffic = {(last, 0): 2.0, (-1, 0): 0.0, (0, last + 1): 0.0}
+    evaluator = ObjectiveEvaluator(placement, traffic, weight_distance_by_traffic=True)
+    assert evaluator._distance_weight[last] == 2.0
+    assert evaluator.interlayer_mass == {last: 2.0}
+    with pytest.raises(ValueError, match="node id -1 out of range"):
+        ObjectiveEvaluator(placement, {(-1, 0): 1.0})
+    with pytest.raises(ValueError, match="node id 8 out of range"):
+        ObjectiveEvaluator(placement, {(0, 8): 1.0})
