@@ -10,11 +10,22 @@ the package itself degrades gracefully without it (the kernel simply stays
 unregistered), so source checkouts on numpy-less interpreters keep working.
 """
 
+import os
+import re
+
 from setuptools import find_packages, setup
+
+
+def _version() -> str:
+    """``repro.__version__``, read from source without importing the package."""
+    path = os.path.join(os.path.dirname(__file__), "src", "repro", "__init__.py")
+    with open(path, "r") as handle:
+        return re.search(r'^__version__ = "([^"]+)"', handle.read(), re.M).group(1)
+
 
 setup(
     name="repro-adele",
-    version="1.10.0",
+    version=_version(),
     description=(
         "Reproduction of AdEle: adaptive congestion- and energy-aware "
         "elevator selection for partially connected 3D NoCs (DAC 2021)"

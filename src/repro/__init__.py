@@ -71,7 +71,6 @@ from repro.core import (
 )
 from repro.analysis import (
     DesignCache,
-    ExperimentConfig,
     adele_design_for,
     elevator_load_distribution,
     latency_sweep,
@@ -97,7 +96,7 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Coordinate",
@@ -128,7 +127,6 @@ __all__ = [
     "AmosaConfig",
     "AmosaOptimizer",
     "optimize_elevator_subsets",
-    "ExperimentConfig",
     "ExperimentSpec",
     "PlacementSpec",
     "PolicySpec",

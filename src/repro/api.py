@@ -58,13 +58,9 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from repro.analysis.runner import (
     DesignCache,
-    ExperimentConfig,
-    as_spec,
-    config_from_spec,
     design_for,
     design_key_for,
     run_experiment,
-    spec_from_config,
 )
 from repro.core.optimizers import (
     OPTIMIZER_REGISTRY,
@@ -231,7 +227,7 @@ def run_design(
 # Execution
 # ---------------------------------------------------------------------- #
 def run(
-    spec: Union[ExperimentSpec, ExperimentConfig],
+    spec: ExperimentSpec,
     energy_model: Optional[EnergyModel] = None,
     probe: Optional[ProbeSpec] = None,
 ) -> SimulationResult:
@@ -242,11 +238,11 @@ def run(
     while every number in the result stays bit-identical to an unprobed
     run (the probe is a run argument, never part of the spec).
     """
-    return run_experiment(as_spec(spec), energy_model=energy_model, probe=probe)
+    return run_experiment(spec, energy_model=energy_model, probe=probe)
 
 
 def run_scenario(
-    spec: Union[ExperimentSpec, ExperimentConfig],
+    spec: ExperimentSpec,
     scenario: Optional[ScenarioSpec] = None,
     energy_model: Optional[EnergyModel] = None,
 ) -> SimulationResult:
@@ -267,19 +263,18 @@ def run_scenario(
         ValueError: When neither the spec nor the argument carries a
             scenario.
     """
-    resolved = as_spec(spec)
     if scenario is not None:
-        resolved = resolved.with_(scenario=scenario)
-    if resolved.scenario is None:
+        spec = spec.with_(scenario=scenario)
+    if spec.scenario is None:
         raise ValueError(
             "run_scenario needs a scenario: set ExperimentSpec.scenario or "
             "pass the scenario argument"
         )
-    return run_experiment(resolved, energy_model=energy_model)
+    return run_experiment(spec, energy_model=energy_model)
 
 
 def run_specs(
-    specs: Iterable[Union[ExperimentSpec, ExperimentConfig]],
+    specs: Iterable[ExperimentSpec],
     workers: int = 1,
     cache_dir: Optional[str] = None,
     base_seed: Optional[int] = None,
@@ -295,7 +290,7 @@ def run_specs(
     """Run a grid of specs through the parallel batch engine.
 
     Args:
-        specs: Experiment specs (legacy configs accepted too).
+        specs: Experiment specs.
         workers: Worker processes (``1`` = serial fallback).
         cache_dir: Optional directory for disk-backed result *and* AdEle
             design caching; a warm directory skips finished work entirely.
@@ -388,8 +383,7 @@ def connect(
 
 
 def submit(
-    specs: Union[ExperimentSpec, ExperimentConfig,
-                 Iterable[Union[ExperimentSpec, ExperimentConfig]]],
+    specs: Union[ExperimentSpec, Iterable[ExperimentSpec]],
     base_seed: Optional[int] = None,
     base_url: str = DEFAULT_SERVICE_URL,
 ) -> int:
@@ -426,10 +420,10 @@ def load_spec(path: str) -> ExperimentSpec:
         return ExperimentSpec.from_dict(json.load(handle))
 
 
-def save_spec(spec: Union[ExperimentSpec, ExperimentConfig], path: str) -> None:
+def save_spec(spec: ExperimentSpec, path: str) -> None:
     """Write a spec's canonical JSON document to a file."""
     with open(path, "w") as handle:
-        json.dump(as_spec(spec).to_dict(), handle, indent=2, sort_keys=True)
+        json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -448,10 +442,6 @@ __all__ = [
     "ElevatorFault",
     "ElevatorRepair",
     "StatsMarker",
-    "ExperimentConfig",
-    "as_spec",
-    "spec_from_config",
-    "config_from_spec",
     "spec_from_canonical",
     "canonical_config",
     "config_key",

@@ -65,6 +65,9 @@ DEFAULT_PORT = 8765
 #: event per request here (see :func:`configure_service_logging`).
 LOGGER = logging.getLogger("repro.service")
 
+#: Largest request body accepted, in bytes; longer requests get 413 unread.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 #: Prometheus text exposition content type.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -221,6 +224,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             return {}
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            raise _ApiError(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         try:
             data = json.loads(self.rfile.read(length).decode("utf-8"))
         except ValueError as error:

@@ -403,11 +403,6 @@ def _design_persistable(key: DesignKey) -> bool:
 # ---------------------------------------------------------------------- #
 # JSON -> SQLite migration
 # ---------------------------------------------------------------------- #
-#: Backward-compatible alias; the helper now lives in repro.exec.cache so
-#: the merge path can use it without importing the service layer.
-_iter_json_entries = iter_json_cache_entries
-
-
 def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
     """Carry a warm JSON cache directory into a SQLite store.
 
@@ -422,7 +417,7 @@ def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
         ``{"results": n, "designs": n, "skipped": n}`` migration counts.
     """
     migrated = {"results": 0, "designs": 0, "skipped": 0}
-    for key, record in _iter_json_entries(cache_dir, "result-"):
+    for key, record in iter_json_cache_entries(cache_dir, "result-"):
         summary = record.get("summary")
         if not isinstance(summary, dict):
             migrated["skipped"] += 1
@@ -430,7 +425,7 @@ def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
         if store.get_result(key) is None:
             store.put_result(key, record.get("config"), summary)
             migrated["results"] += 1
-    for key_hash, record in _iter_json_entries(cache_dir, "design-"):
+    for key_hash, record in iter_json_cache_entries(cache_dir, "design-"):
         if record.get("format") != 2:
             migrated["skipped"] += 1
             continue

@@ -25,9 +25,6 @@ keys and derived seeds (:func:`repro.exec.cache.config_key` /
 all built from it.  Structural placements are captured by mesh shape and
 columns, so two different custom placements sharing a name can never alias
 each other in the cache.
-
-The legacy flat :class:`repro.analysis.runner.ExperimentConfig` is a
-deprecated shim that converts to/from :class:`ExperimentSpec`.
 """
 
 from __future__ import annotations
@@ -74,6 +71,16 @@ def _require_name(name: Any, what: str) -> str:
     return name
 
 
+def _int_tuple(value: Any, length: int, what: str) -> Tuple[int, ...]:
+    message = f"{what} must be a list of {length} integers, got {value!r}"
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise ValueError(message)
+    try:
+        return tuple(int(item) for item in value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+
+
 def _reject_unknown_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], what: str) -> None:
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a mapping, got {type(data).__name__}")
@@ -116,12 +123,12 @@ class PlacementSpec:
                 "named placements neither"
             )
         if self.mesh is not None:
-            mesh = tuple(int(d) for d in self.mesh)
-            if len(mesh) != 3 or any(d < 1 for d in mesh):
+            mesh = _int_tuple(self.mesh, 3, "mesh")
+            if any(d < 1 for d in mesh):
                 raise ValueError(f"mesh must be three positive dimensions, got {self.mesh!r}")
-            columns = tuple(
-                (int(c[0]), int(c[1])) for c in self.columns  # type: ignore[union-attr]
-            )
+            if not isinstance(self.columns, (list, tuple)):
+                raise ValueError(f"columns must be a list of (x, y) pairs, got {self.columns!r}")
+            columns = tuple(_int_tuple(c, 2, "elevator column") for c in self.columns)
             object.__setattr__(self, "mesh", mesh)
             object.__setattr__(self, "columns", columns)
 
@@ -173,14 +180,10 @@ class PlacementSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "PlacementSpec":
         """Rebuild from the canonical form (unknown keys rejected)."""
         _reject_unknown_keys(data, ("name", "mesh", "columns"), "placement spec")
-        mesh = data.get("mesh")
-        columns = data.get("columns")
         return cls(
             name=data.get("name", "PS1"),
-            mesh=None if mesh is None else tuple(mesh),
-            columns=None
-            if columns is None
-            else tuple(tuple(column) for column in columns),
+            mesh=data.get("mesh"),
+            columns=data.get("columns"),
         )
 
 
@@ -224,7 +227,7 @@ class PolicySpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
         """Rebuild from the canonical form (unknown keys rejected)."""
         _reject_unknown_keys(data, ("name", "options"), "policy spec")
-        return cls(name=data.get("name", "adele"), options=dict(data.get("options") or {}))
+        return cls(name=data.get("name", "adele"), options=data.get("options"))
 
 
 # ---------------------------------------------------------------------- #
@@ -255,8 +258,10 @@ class TrafficSpec:
         _require_name(self.pattern, "traffic pattern name")
         if not isinstance(self.injection_rate, (int, float)) or self.injection_rate < 0:
             raise ValueError(f"injection_rate must be >= 0, got {self.injection_rate!r}")
-        if self.min_packet_length < 1:
-            raise ValueError("min_packet_length must be >= 1")
+        for name in ("min_packet_length", "max_packet_length"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.max_packet_length < self.min_packet_length:
             raise ValueError("max_packet_length must be >= min_packet_length")
         object.__setattr__(self, "injection_rate", float(self.injection_rate))
@@ -312,7 +317,7 @@ class TrafficSpec:
             injection_rate=data.get("injection_rate", defaults.injection_rate),
             min_packet_length=data.get("min_packet_length", defaults.min_packet_length),
             max_packet_length=data.get("max_packet_length", defaults.max_packet_length),
-            options=dict(data.get("options") or {}),
+            options=data.get("options"),
         )
 
 
@@ -560,7 +565,7 @@ class DesignSpec:
             else PlacementSpec(),
             traffic=data.get("traffic", defaults.traffic),
             optimizer=data.get("optimizer", defaults.optimizer),
-            options=dict(data.get("options") or {}),
+            options=data.get("options"),
             max_subset_size=data.get("max_subset_size", defaults.max_subset_size),
             selection=data.get("selection", defaults.selection),
             weight_distance_by_traffic=data.get(

@@ -16,7 +16,6 @@ from repro.topology.elevators import (
     PLACEMENT_REGISTRY,
     Elevator,
     ElevatorPlacement,
-    PlacementRegistry,
     available_placements,
     average_distance_of_placement,
     optimize_placement,
@@ -29,7 +28,6 @@ __all__ = [
     "Mesh3D",
     "Elevator",
     "ElevatorPlacement",
-    "PlacementRegistry",
     "PLACEMENT_REGISTRY",
     "register_placement",
     "available_placements",

@@ -8,7 +8,7 @@ inter-layer packets through one of these elevator columns.
 This module provides:
 
 * :class:`Elevator` / :class:`ElevatorPlacement` -- the placement data model.
-* :func:`standard_placement` and :class:`PlacementRegistry` -- the paper's
+* :func:`standard_placement` and :data:`PLACEMENT_REGISTRY` -- the paper's
   placement patterns ``PS1``, ``PS2``, ``PS3`` (4x4x4 mesh) and ``PM``
   (8x8x4 mesh).  The paper describes PS1/PS3/PM as "extracted to have an
   optimized average distance" and PS2 as taken from the FL-RuNS paper; exact
@@ -23,7 +23,7 @@ This module provides:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.registry import Registry
@@ -531,31 +531,3 @@ def register_placement(
 def available_placements() -> List[str]:
     """Sorted canonical names of every registered placement."""
     return PLACEMENT_REGISTRY.names()
-
-
-@dataclass
-class PlacementRegistry:
-    """Deprecated local registry shim over the paper's standard placements.
-
-    Superseded by the global :data:`PLACEMENT_REGISTRY` (see
-    :func:`register_placement`); kept because older experiment scripts used
-    per-harness instances.  Custom placements registered here shadow the
-    standard names for this instance only.
-    """
-
-    _custom: Dict[str, ElevatorPlacement] = field(default_factory=dict)
-
-    def register(self, placement: ElevatorPlacement) -> None:
-        """Register a custom placement under ``placement.name``."""
-        self._custom[placement.name.upper()] = placement
-
-    def get(self, name: str) -> ElevatorPlacement:
-        """Resolve a placement by name (custom first, then standard)."""
-        key = name.upper()
-        if key in self._custom:
-            return self._custom[key]
-        return standard_placement(key)
-
-    def names(self) -> List[str]:
-        """All known placement names."""
-        return sorted(set(self._custom) | set(_STANDARD_COLUMNS))

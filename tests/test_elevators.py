@@ -4,7 +4,6 @@ import pytest
 
 from repro.topology.elevators import (
     ElevatorPlacement,
-    PlacementRegistry,
     average_distance_of_placement,
     optimize_placement,
     standard_placement,
@@ -211,21 +210,3 @@ class TestAverageDistanceAndOptimizer:
         b = optimize_placement(mesh, 2, iterations=60, seed=9)
         assert a.columns() == b.columns()
 
-
-class TestPlacementRegistry:
-    def test_standard_lookup(self):
-        registry = PlacementRegistry()
-        assert registry.get("PS2").num_elevators == 4
-
-    def test_custom_registration_overrides(self):
-        registry = PlacementRegistry()
-        custom = ElevatorPlacement(Mesh3D(2, 2, 2), [(1, 1)], name="PS1")
-        registry.register(custom)
-        assert registry.get("PS1") is custom
-
-    def test_names_include_standard_and_custom(self):
-        registry = PlacementRegistry()
-        custom = ElevatorPlacement(Mesh3D(2, 2, 2), [(1, 1)], name="LAB")
-        registry.register(custom)
-        names = registry.names()
-        assert "LAB" in names and "PS1" in names and "PM" in names

@@ -10,14 +10,16 @@ assertion is bit-identity: a job's summary rows must equal a direct
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro import api
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import ServiceContext, make_server
+from repro.service.http import MAX_BODY_BYTES, ServiceContext, make_server
 from repro.service.queue import JobQueue
 from repro.service.store import SqliteStore
 from repro.service.workers import WorkerPool
@@ -120,9 +122,33 @@ class TestServiceEndToEnd:
         assert excinfo.value.status == 404
 
     def test_bad_submission_is_400(self, service):
-        with pytest.raises(ServiceError) as excinfo:
-            service._request("POST", "/api/jobs", {"specs": []})
-        assert excinfo.value.status == 400
+        bodies = [
+            {"specs": []},
+            {"specs": [{"placement": {"mesh": 3}}]},
+            {"specs": [{"placement": {"columns": [1]}}]},
+            {"specs": [{"policy": {"options": 3}}]},
+        ]
+        for body in bodies:
+            with pytest.raises(ServiceError) as excinfo:
+                service._request("POST", "/api/jobs", body)
+            assert excinfo.value.status == 400, body
+
+    def test_oversized_body_is_413_before_reading(self, service):
+        url = urlsplit(service.base_url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            # Announce a body far over the limit but send none of it: the
+            # daemon must answer from the header alone.
+            connection.putrequest("POST", "/api/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            assert "exceeds" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert service.health()["status"] == "ok"
 
     def test_unknown_route_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:

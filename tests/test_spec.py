@@ -5,12 +5,12 @@ Covers the satellite guarantees of the `repro.api` redesign:
 * property test that ``ExperimentSpec.from_dict(spec.to_dict()) == spec``
   and that ``config_key`` is stable across round-trips, over both a
   hypothesis-generated spec space and the full bench grid;
-* custom-placement cache correctness: a ``placement_obj`` reusing a name
+* custom-placement cache correctness: a placement object reusing a name
   must never share a ``config_key`` with the named placement (or another
   structure under the same name);
-* the deprecated ``ExperimentConfig`` shim warns on construction, while the
-  spec-native internals (runner, batch, sweep, CLI) never trigger the
-  warning.
+* parsing: any JSON-shaped document either parses or raises ``ValueError``;
+* the runner, batch engine, sweep and CLI never emit a
+  ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -22,15 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.runner import (
-    ExperimentConfig,
-    as_spec,
-    config_from_spec,
-    spec_from_config,
-)
 from repro.exec.cache import (
     canonical_json,
-    config_from_canonical,
     config_key,
     derive_seed,
     spec_from_canonical,
@@ -44,12 +37,6 @@ from repro.spec import (
 )
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
-
-
-def _quiet_config(**kwargs) -> ExperimentConfig:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -105,6 +92,95 @@ _specs = st.builds(
     ExperimentSpec, placement=_placements, policy=_policies, traffic=_traffic, sim=_sims
 )
 
+# JSON-shaped documents: mostly the spec's own keys, with any JSON value
+# (of the right or wrong type) in any field.
+_json = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-5, 10**6),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=6),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+def _document(fields):
+    """A JSON object over ``fields`` (key -> plausible-value strategy)."""
+    return st.one_of(
+        _json,
+        st.fixed_dictionaries(
+            {}, optional={key: st.one_of(_json, value) for key, value in fields.items()}
+        ),
+    )
+
+
+_small_ints = st.integers(0, 6)
+_events = st.lists(
+    _document(
+        {
+            "kind": st.sampled_from(
+                ["traffic-phase", "rate-ramp", "elevator-fault", "elevator-repair",
+                 "stats-marker"]
+            ),
+            "cycle": _small_ints,
+            "end_cycle": _small_ints,
+            "injection_rate": st.floats(0.0, 0.5),
+            "end_rate": st.floats(0.0, 0.5),
+            "pattern": st.just("uniform"),
+            "elevator": _small_ints,
+            "label": st.text(max_size=4),
+        }
+    ),
+    max_size=3,
+)
+_json_documents = _document(
+    {
+        "format": st.just(1),
+        "placement": _document(
+            {
+                "name": _names,
+                "mesh": st.lists(st.integers(0, 4), min_size=3, max_size=3),
+                "columns": st.lists(st.lists(_small_ints, max_size=3), max_size=3),
+            }
+        ),
+        "policy": _document({"name": st.just("adele"), "options": _json}),
+        "traffic": _document(
+            {
+                "pattern": st.just("uniform"),
+                "injection_rate": st.floats(0.0, 0.5),
+                "min_packet_length": _small_ints,
+                "max_packet_length": st.integers(5, 30),
+                "options": _json,
+            }
+        ),
+        "sim": _document(
+            {
+                "warmup_cycles": _small_ints,
+                "buffer_depth": _small_ints,
+                "seed": _small_ints,
+                "backend": st.just("reference"),
+                "bit_exact": st.booleans(),
+            }
+        ),
+        "design": _document(
+            {
+                "optimizer": st.just("amosa"),
+                "options": _json,
+                "max_subset_size": _small_ints,
+                "selection": st.just("knee"),
+                "num_representatives": _small_ints,
+            }
+        ),
+        "scenario": _document({"events": _events}),
+    }
+)
+
 
 class TestRoundTripProperties:
     @settings(max_examples=150, deadline=None)
@@ -148,19 +224,6 @@ class TestRoundTripProperties:
             keys.append(config_key(spec))
         assert len(set(keys)) == len(specs)
 
-    def test_legacy_config_and_its_spec_hash_identically(self):
-        config = _quiet_config(
-            placement="PS2", policy="adele", traffic="shuffle",
-            injection_rate=0.003, seed=9, adele_max_subset_size=3,
-        )
-        spec = spec_from_config(config)
-        assert config_key(config) == config_key(spec)
-        assert derive_seed(config, 5) == derive_seed(spec, 5)
-        assert config_from_canonical(json.loads(canonical_json(config))) == config
-
-    def test_as_spec_rejects_foreign_types(self):
-        with pytest.raises(TypeError):
-            as_spec({"placement": "PS1"})
 
 
 class TestSpecValidation:
@@ -191,6 +254,34 @@ class TestSpecValidation:
             TrafficSpec(injection_rate=-0.1)
         with pytest.raises(ValueError):
             TrafficSpec(min_packet_length=5, max_packet_length=4)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"placement": {"mesh": 3}},
+            {"placement": {"columns": [1]}},
+            {"placement": {"name": "x", "mesh": [2, 2, 2], "columns": [1]}},
+            {"placement": {"name": "x", "mesh": [2, None, 2], "columns": [[0, 0]]}},
+            {"placement": {"name": "x", "mesh": [2, 2, 2], "columns": [[0]]}},
+            {"policy": {"options": 3}},
+            {"policy": {"options": [["a", 1]]}},
+            {"traffic": {"options": "abc"}},
+            {"traffic": {"min_packet_length": "10"}},
+            {"design": {"options": [1]}},
+        ],
+    )
+    def test_from_dict_rejects_wrong_container_types(self, document):
+        with pytest.raises(ValueError):
+            ExperimentSpec.from_dict(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=_json_documents)
+    def test_any_json_document_parses_or_raises_value_error(self, document):
+        try:
+            spec = ExperimentSpec.from_dict(document)
+        except ValueError:
+            return
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_sim_validation(self):
         with pytest.raises(ValueError):
@@ -230,29 +321,29 @@ class TestCustomPlacementCacheKeys:
     """Satellite regression: placement objects reusing a name never alias."""
 
     def test_placement_obj_reusing_a_standard_name_gets_a_distinct_key(self):
-        named = _quiet_config(placement="PS1", policy="elevator_first")
-        custom = _quiet_config(
-            placement="PS1",
-            policy="elevator_first",
-            placement_obj=ElevatorPlacement(Mesh3D(4, 4, 4), [(0, 0)], name="PS1"),
+        named = ExperimentSpec().with_(placement="PS1", policy="elevator_first")
+        custom = named.with_(
+            placement=PlacementSpec.from_placement(
+                ElevatorPlacement(Mesh3D(4, 4, 4), [(0, 0)], name="PS1")
+            )
         )
-        # The flat dataclass considers them equal (placement_obj is excluded
-        # from comparison) -- exactly why the cache key must not.
-        assert named == custom
+        assert custom.placement.name == named.placement.name
         assert config_key(named) != config_key(custom)
         assert derive_seed(named, 1) != derive_seed(custom, 1)
 
     def test_two_structures_under_one_name_get_distinct_keys(self):
         mesh = Mesh3D(2, 2, 2)
-        config_a = _quiet_config(
-            placement="dup",
-            placement_obj=ElevatorPlacement(mesh, [(0, 0)], name="dup"),
+        spec_a = ExperimentSpec(
+            placement=PlacementSpec.from_placement(
+                ElevatorPlacement(mesh, [(0, 0)], name="dup")
+            )
         )
-        config_b = _quiet_config(
-            placement="dup",
-            placement_obj=ElevatorPlacement(mesh, [(1, 1)], name="dup"),
+        spec_b = ExperimentSpec(
+            placement=PlacementSpec.from_placement(
+                ElevatorPlacement(mesh, [(1, 1)], name="dup")
+            )
         )
-        assert config_key(config_a) != config_key(config_b)
+        assert config_key(spec_a) != config_key(spec_b)
 
     def test_case_variants_and_aliases_share_keys(self):
         # Equivalent spellings of one experiment must hit the same cache
@@ -288,40 +379,10 @@ class TestCustomPlacementCacheKeys:
         assert config_key(named) != config_key(structural)
 
 
-class TestDeprecatedShim:
-    def test_constructing_config_warns(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentConfig is deprecated"):
-            ExperimentConfig()
-
-    def test_with_derivation_stays_quiet(self):
-        # The warning fires once, at construction; deriving copies of an
-        # already-constructed config must not re-warn on every sweep point.
-        config = _quiet_config()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert config.with_(seed=1).seed == 1
-
-    def test_spec_conversions_do_not_warn(self):
-        config = _quiet_config(policy="cda")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            spec = spec_from_config(config)
-            back = config_from_spec(spec)
-        assert back == config
-
-    def test_lossy_conversion_drops_foreign_options(self):
-        spec = ExperimentSpec(
-            policy=PolicySpec(name="custom", options={"weight": 2.0}),
-            traffic=TrafficSpec(pattern="hotspot", options={"hotspot_fraction": 0.5}),
-        )
-        config = config_from_spec(spec)
-        assert config.policy == "custom"
-        assert config.traffic == "hotspot"
-
+class TestNoDeprecationWarnings:
     def test_internal_modules_do_not_trigger_the_warning(self, tmp_path):
-        # Run the whole spec-native stack -- builders, batch engine (cold and
-        # warm cache), sweep, CLI -- with DeprecationWarning promoted to an
-        # error: no internal module may construct the shim loudly.
+        # Run the whole stack -- builders, batch engine (cold and warm
+        # cache), sweep, CLI -- with DeprecationWarning promoted to an error.
         from repro.analysis.sweep import latency_sweep
         from repro.exec.batch import run_batch
         from repro.exec.cli import main as cli_main
