@@ -311,7 +311,7 @@ def run_specs(
         chunk_size: Flush results to the cache (plus a resumable manifest
             when ``cache_dir`` is set) every this many completed specs.
         replica_batch: When >= 2, coalesce specs differing only in seed
-            (on the flat-array kernel family) into replica groups of at
+            (on a replica-batching backend) into replica groups of at
             most this many, each run as one batched kernel pass; results
             and cache bytes are unchanged, only wall-clock is.  See
             :class:`~repro.exec.batch.ExperimentBatch`.

@@ -26,9 +26,9 @@ Caching
 Replica batching
     With ``replica_batch=N``, tasks that share a *structural key*
     (:func:`~repro.exec.cache.structural_key`: canonical spec minus seed)
-    and run on the flat-array kernel family (``vectorized`` / ``batched``
-    backends) are coalesced -- up to N seed-replicas execute through one
-    replica-batched kernel pass
+    and run on a backend whose kernel batches replicas (``vectorized``,
+    alias ``batched``) are coalesced -- up to N seed-replicas execute
+    through one replica-batched kernel pass
     (:func:`repro.sim.backends.batched.run_replica_group`) instead of N
     solo runs.  Grouping changes *only* wall-clock: each replica keeps its
     own ``config_key``, summary row and cache entry, and the grouped cache
@@ -165,23 +165,17 @@ class _TaskGroup:
     tasks: Tuple[_Task, ...]
 
 
-#: Simulation backends whose specs may be coalesced into replica groups.
-#: Only the flat-array kernel family is eligible: it is the kernel that
-#: has the replica axis, and routing other backends' specs through it
-#: would violate cache byte-identity (fast mode is a tolerance contract,
-#: not bit-identical to ``reference``/``optimized``).
-_GROUPABLE_BACKENDS = frozenset({"vectorized", "batched"})
-
-
 def _groupable_spec(spec: ExperimentSpec) -> bool:
-    """Whether a spec may join a replica group (kernel-family check)."""
+    """Whether a spec may join a replica group: its own backend's kernel
+    must take more than one network (``batches_replicas``), so a grouped
+    run is the solo run's kernel, bit for bit."""
     try:
-        canonical = BACKEND_REGISTRY.entry(spec.sim.backend).name
+        backend = BACKEND_REGISTRY.get(spec.sim.backend)
     except UnknownComponentError:
         # Leave the spec a solo task; execution will surface the error
         # with the registry's own message.
         return False
-    return canonical in _GROUPABLE_BACKENDS
+    return getattr(backend, "batches_replicas", False)
 
 
 # ---------------------------------------------------------------------- #
@@ -446,6 +440,7 @@ def _execute_group(
             measurement_cycles=sim.measurement_cycles,
             drain_cycles=sim.drain_cycles,
             bit_exact=sim.bit_exact,
+            backend=sim.backend,
             probe=group.tasks[0].probe,
         )
     kernel_s = time.perf_counter() - kernel_start
@@ -515,8 +510,8 @@ class ExperimentBatch:
             every flushed row; the manifest is the inspectable progress
             record.
         replica_batch: When >= 2, coalesce pending tasks that share a
-            structural key (canonical spec minus seed) and run on the
-            flat-array kernel family into replica groups of at most this
+            structural key (canonical spec minus seed) and run on a
+            replica-batching backend into replica groups of at most this
             many, each executed as one batched kernel pass (see the module
             docstring).  Results and cache bytes are unchanged; only
             wall-clock is.  ``None``/1 keeps solo execution.
@@ -702,11 +697,11 @@ class ExperimentBatch:
     ) -> List[Union[_Task, _TaskGroup]]:
         """Coalesce a chunk's tasks into work units (replica grouping).
 
-        Tasks sharing a structural key -- and running on the flat-array
-        kernel family -- merge into :class:`_TaskGroup` units of at most
-        ``replica_batch`` members; everything else stays a solo task.  A
-        group is emitted at its first member's position, so unit order
-        follows task order and grouping never reorders cache flushes
+        Tasks sharing a structural key -- and running on a backend whose
+        kernel batches replicas -- merge into :class:`_TaskGroup` units of
+        at most ``replica_batch`` members; everything else stays a solo
+        task.  A group is emitted at its first member's position, so unit
+        order follows task order and grouping never reorders cache flushes
         across chunks.  With ``replica_batch`` unset (or 1) the chunk
         passes through unchanged.
         """

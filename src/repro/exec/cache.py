@@ -216,7 +216,7 @@ def structural_config(spec: ExperimentSpec) -> Dict[str, Any]:
     same mesh, placement, policy, traffic shape, cycles and scenario --
     they differ only in which RNG streams they draw.  Such seed-replicas
     can share one replica-batched kernel pass (see
-    :mod:`repro.sim.backends.batched`); everything else about them (their
+    :func:`repro.sim.backends.batched.run_replica_group`); everything else about them (their
     ``config_key``, derived seed, cache entry) stays per-spec.
     """
     payload = canonical_config(spec)

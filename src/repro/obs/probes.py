@@ -16,12 +16,12 @@ Channel                Meaning at the sampled cycle
 Every backend family fills the same channels -- the reference kernel by
 scanning the :class:`~repro.sim.network.Network`, the active-set kernel
 from its own incremental counters, and the flat-array kernel with O(1)
-numpy reductions per sampled cycle (one series *per replica* under the
-batched backend).
+numpy reductions per sampled cycle (one series *per replica* in a
+replica group).
 
 A probe is a **run argument**, never a spec field: it is threaded through
-``Simulator(probe=...)`` / ``run_experiment(probe=...)`` exactly like
-``bit_exact`` threads to the backend, and it never enters canonical
+``Simulator(probe=...)`` / ``run_experiment(probe=...)`` into the run
+lifecycle exactly like ``bit_exact``, and it never enters canonical
 serialization, ``config_key``, ``derive_seed`` or a cached summary row.
 Kernels only *read* state when sampling, so a probed run is bit-identical
 to an unprobed one (pinned by ``tests/test_obs_neutrality.py``).

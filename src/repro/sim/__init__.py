@@ -11,10 +11,11 @@ Main entry points:
 * :class:`~repro.sim.network.Network` -- builds the routers and links for a
   mesh + elevator placement + elevator-selection policy.
 * :class:`~repro.sim.engine.Simulator` -- drives a network with a packet
-  source for a number of cycles and collects statistics.
-* :mod:`repro.sim.backends` -- the pluggable cycle kernels executing the
-  loop (``reference`` full scan vs the default ``optimized`` active-set
-  kernel; result-equivalent, registered in ``BACKEND_REGISTRY``).
+  source for a number of cycles and collects statistics (the one run
+  lifecycle, :func:`~repro.sim.engine.run_lifecycle`, with one replica).
+* :mod:`repro.sim.backends` -- the pluggable kernels executing each cycle
+  (``reference`` full scan, the default ``optimized`` active-set kernel,
+  the numpy ``vectorized`` kernel; registered in ``BACKEND_REGISTRY``).
 * :class:`~repro.sim.stats.SimulationStats` / ``SimulationResult`` -- the
   measurements (latency, throughput, per-router load, hop/energy counters).
 """

@@ -1,9 +1,9 @@
 """Pluggable simulation kernels (cycle-loop backends).
 
-The :class:`~repro.sim.engine.Simulator` no longer owns the cycle loop: it
-delegates to a :class:`SimulatorBackend` looked up by name in
-:data:`BACKEND_REGISTRY`, mirroring the policy / traffic / placement
-registries.  Two kernels ship with the repository:
+The cycle loop is written once, in :func:`repro.sim.engine.run_lifecycle`;
+each cycle's work is done by the step object of a :class:`SimulatorBackend`
+looked up by name in :data:`BACKEND_REGISTRY`, mirroring the policy /
+traffic / placement registries.  Three kernels ship with the repository:
 
 ``reference``
     The original loop: every router evaluates route computation, switch
@@ -26,43 +26,64 @@ registries.  Two kernels ship with the repository:
     this removes the per-flit interpreter overhead that caps the other
     kernels.
 
-**Equivalence contract**: every backend must produce *bit-identical*
-:class:`~repro.sim.engine.SimulationResult` data (statistics counters,
-latency samples, drain accounting) for the same network, packet source and
-seed.  The cross-backend test matrix in ``tests/test_backends.py`` enforces
-this; a registered kernel that diverges is a bug, not a variant.  One
-qualified exception: the ``vectorized`` kernel's *fast* allocation phase
-evaluates all routers against the cycle-start occupancy snapshot, so under
-contention it honors a documented tolerance contract instead (identical
-packet creation, flit conservation, aggregates within a small band -- see
-its module docstring).  Setting ``bit_exact`` (a per-run flag on the
-backend instance, threaded from :class:`repro.spec.SimSpec`) switches it
-to a sequential allocation phase that restores full bit-identity, which is
-how the cross-backend matrix validates it.
+**Equivalence contract**: ``reference`` and ``optimized`` produce
+*bit-identical* :class:`~repro.sim.engine.SimulationResult` data
+(statistics counters, latency samples, drain accounting) for the same
+network, packet source and seed; the cross-backend matrix in
+``tests/test_backends.py`` enforces this, and a registered kernel that
+diverges is a bug, not a variant.  One qualified exception: the
+``vectorized`` kernel's *fast* allocation phase evaluates all routers
+against the cycle-start occupancy snapshot, so under contention it honors
+a documented tolerance contract instead (identical packet creation, flit
+conservation, aggregates within a small band -- see its module
+docstring).  The per-run ``bit_exact`` argument (threaded from
+:class:`repro.spec.SimSpec`) switches it to a sequential allocation phase
+that restores full bit-identity, which is how the matrix validates it.
+``batched``, ``replica`` and ``multi-seed`` are aliases of ``vectorized``,
+the one kernel with a replica axis (``batches_replicas``).
 
 Registering a custom kernel (e.g. from a ``--plugin`` module)::
 
+    from repro.obs.probes import network_reading
     from repro.sim.backends import SimulatorBackend, register_backend
+
+    class MyStep:
+        def __init__(self, network):
+            self.network = network
+            self.inject = network.inject
+            self.step = network.step
+
+        def create_packet(self, replica, source, destination, length, cycle):
+            self.network.create_packet(source, destination, length, cycle)
+
+        def replica_idle(self, replica):
+            return self.network.is_idle()
+
+        def probe_readings(self):
+            return [network_reading(self.network)]
+
+        def sync_back(self):
+            pass
+
+        def close(self):
+            pass
 
     @register_backend("my_kernel", description="...")
     class MyKernel(SimulatorBackend):
         name = "my_kernel"
 
-        def execute(self, network, packet_source, *, warmup_cycles,
-                    measurement_cycles, drain_cycles):
-            ...
-            return drain_cycles_used
+        def kernel(self, networks, *, bit_exact):
+            return MyStep(networks[0])
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
-    from repro.traffic.generator import PacketSource
 
 #: Registry of simulation kernels.  Entries are classes (or zero-argument
 #: factories) producing :class:`SimulatorBackend` instances.
@@ -78,64 +99,40 @@ DEFAULT_BACKEND = "optimized"
 
 
 class SimulatorBackend:
-    """Base class for simulation kernels.
+    """Base class for simulation kernels: a factory of per-run step objects.
 
-    A backend owns the per-cycle evaluation strategy only; all simulation
-    *state* (routers, buffers, statistics) lives in the
-    :class:`~repro.sim.network.Network`, so every backend observes and
-    mutates the same model through the same entry points
-    (``create_packet`` / ``inject`` / ``deliver_flit``).
+    A backend holds no run state.  All simulation *state* (routers, buffers,
+    statistics) lives in the :class:`~repro.sim.network.Network`, and the
+    run lifecycle (:func:`repro.sim.engine.run_lifecycle`: cycle loop,
+    scenario timeline, drain accounting, probes, results) is shared by
+    every backend.  For each run the lifecycle asks :meth:`kernel` for a
+    step object over the run's networks -- one per replica -- and drives
+    it through:
+
+    * ``create_packet(replica, source, destination, length, cycle)``;
+    * ``inject(cycle)`` and ``step(cycle)``, once per cycle each;
+    * ``replica_idle(replica)`` -- no queued or buffered flit left;
+    * ``probe_readings()`` -- one reading per replica, strictly read-only;
+    * ``sync_back()`` then ``close()`` at the end of the run, on every
+      exit path: write kernel-side state back to the networks and detach.
 
     Attributes:
         name: Short backend name used in registries and reports.
-        bit_exact: When true, the kernel must produce results bit-identical
-            to the ``reference`` kernel even where its fast path only
-            honors a tolerance contract.  Inherently exact kernels ignore
-            the flag; :class:`~repro.sim.engine.Simulator` sets it on the
-            resolved instance when requested.
-        probe: Optional :class:`~repro.obs.probes.ProbeSpec` asking the
-            kernel to sample per-cycle congestion gauges.  A *run
-            argument* threaded exactly like ``bit_exact`` -- set on the
-            resolved instance by :class:`~repro.sim.engine.Simulator`,
-            never part of the spec or any cache key -- and, by contract,
-            **read-only**: sampling must not perturb results.
-        last_probe: One :class:`~repro.obs.probes.ProbeSeries` per replica
-            (solo kernels: a one-element list) from the most recent
-            ``execute`` call when ``probe`` was set, else ``None``.
+        batches_replicas: Whether :meth:`kernel` accepts more than one
+            network.  The batch engine groups seed-replicas only for such
+            backends, and the lifecycle rejects R > 1 for the others.
     """
 
     name = "base"
-    bit_exact = False
-    probe = None
-    last_probe = None
+    batches_replicas = False
 
-    def _probe_begin(self):
-        """Start a fresh series for this run; ``None`` when not probing."""
-        self.last_probe = None
-        spec = self.probe
-        if spec is None:
-            return None
-        series = spec.series()
-        self.last_probe = [series]
-        return series
+    def kernel(self, networks: Sequence["Network"], *, bit_exact: bool):
+        """A fresh step object over ``networks`` for one run.
 
-    def execute(
-        self,
-        network: "Network",
-        packet_source: "PacketSource",
-        *,
-        warmup_cycles: int,
-        measurement_cycles: int,
-        drain_cycles: int,
-    ) -> int:
-        """Run the full cycle loop (warm-up + measurement + drain).
-
-        The network is expected to carry no in-flight traffic or allocation
-        state -- i.e. to be freshly constructed or ``reset()``.
-
-        Returns:
-            Drain cycles actually simulated (0 when the network was already
-            idle when injection stopped).
+        The networks are expected to carry no in-flight traffic or
+        allocation state -- i.e. to be freshly constructed or ``reset()``.
+        ``bit_exact`` asks for results bit-identical to ``reference``;
+        inherently exact kernels ignore it.
         """
         raise NotImplementedError
 
@@ -177,10 +174,8 @@ from repro.sim.backends import reference as _reference  # noqa: E402,F401
 
 try:
     from repro.sim.backends import vectorized as _vectorized  # noqa: E402,F401
-    from repro.sim.backends import batched as _batched  # noqa: E402,F401
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _vectorized = None
-    _batched = None
 
 __all__ = [
     "BACKEND_REGISTRY",

@@ -3,93 +3,36 @@
 The mega-sweep workload fans one *structural* spec (same mesh, placement,
 policy, routes) across many seeds and injection rates.  Run solo, every
 replica pays the full per-cycle numpy dispatch overhead on a small mesh;
-batched, R structurally identical replicas share a single
-:class:`~repro.sim.backends.vectorized._VectorizedKernel` whose node axis
-is the disconnected union of the replicas (global node ``r * N + local``).
-One batched route/allocate/commit pass then serves all replicas per cycle,
-amortizing the numpy call overhead R ways, while every replica keeps its
-own :class:`~repro.sim.network.Network`, policy instance, RNG streams,
+batched, R structurally identical replicas share one kernel whose node
+axis is the disconnected union of the replicas (global node ``r * N +
+local``; see :mod:`repro.sim.backends.vectorized`).  One batched
+route/allocate/commit pass then serves all replicas per cycle, amortizing
+the numpy call overhead R ways, while every replica keeps its own
+:class:`~repro.sim.network.Network`, policy instance, RNG streams,
 :class:`~repro.sim.stats.SimulationStats` and (optionally) its own
 scenario timeline.
 
 The hard invariant -- pinned by ``tests/test_replica_batch.py`` and the
 ``BENCH_perf_replicas`` gate -- is that each replica's
 :class:`~repro.sim.engine.SimulationResult` is **bit-identical** to the
-solo ``vectorized`` run of the same spec: links never cross replica
-blocks, allocation winner order within a replica matches the solo order
-(global node ids are replica-major), and all per-packet bookkeeping
-dispatches to the owning replica's objects.  ``bit_exact`` mode batches
-the exact sequential discipline the same way, joining the cross-backend
-identity matrix per replica.
-
-Two entry points:
-
-* :class:`BatchedBackend` -- the registered ``batched`` backend.  For a
-  single network it *is* the vectorized backend (R=1); it exists as a
-  distinct registry entry so specs can opt into replica grouping by name
-  and so results report the kernel that really ran.
-* :func:`run_replica_group` -- the group runner used by
-  :class:`~repro.exec.batch.ExperimentBatch` when ``replica_batch`` is
-  set: takes R prepared :class:`ReplicaRun` bundles and returns one
-  :class:`~repro.sim.engine.SimulationResult` per replica, mirroring
-  :meth:`repro.sim.engine.Simulator.run` per replica (scenario lifecycle,
-  drain accounting, energy application included).
+solo run of the same spec.  Both go through the same
+:func:`repro.sim.engine.run_lifecycle`; :func:`run_replica_group` is the
+group entry point (used by :class:`~repro.exec.batch.ExperimentBatch`
+when ``replica_batch`` is set), :meth:`repro.sim.engine.Simulator.run` the
+solo one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
-from repro.sim.backends import register_backend
-from repro.sim.backends.vectorized import VectorizedBackend, _VectorizedKernel
+from repro.sim.backends import SimulatorBackend, resolve_backend
+from repro.sim.engine import ReplicaRun, SimulationResult, run_lifecycle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.energy.model import EnergyModel
     from repro.obs.probes import ProbeSpec
-    from repro.scenario.spec import ScenarioSpec
-    from repro.sim.engine import SimulationResult
-    from repro.sim.network import Network
-    from repro.traffic.generator import PacketSource
 
-
-@register_backend(
-    "batched",
-    aliases=("replica", "multi-seed"),
-    description=(
-        "vectorized kernel with a replica axis: groups of seed-replicas "
-        "run in one numpy pass (solo runs identical to vectorized)"
-    ),
-)
-class BatchedBackend(VectorizedBackend):
-    """Replica-batched flat-array kernel (see module docstring).
-
-    Inherits the solo ``execute`` path unchanged -- a single network is a
-    one-replica batch, bit-for-bit the vectorized backend -- so the
-    backend satisfies the standard :class:`SimulatorBackend` contract and
-    the cross-backend matrices.  Grouped execution goes through
-    :func:`run_replica_group`.
-    """
-
-    name = "batched"
-
-
-@dataclass
-class ReplicaRun:
-    """One replica's prepared inputs for :func:`run_replica_group`.
-
-    Mirrors the per-run arguments of :class:`~repro.sim.engine.Simulator`:
-    the network and packet source must be freshly built (or ``reset``) for
-    this replica -- in particular each replica needs its *own* placement
-    object when a scenario is attached, because fault events mutate the
-    placement and replicas run interleaved.
-    """
-
-    network: "Network"
-    packet_source: "PacketSource"
-    scenario: Optional["ScenarioSpec"] = None
-    scenario_seed: int = 0
-    energy_model: Optional["EnergyModel"] = None
+__all__ = ["ReplicaRun", "run_replica_group"]
 
 
 def run_replica_group(
@@ -99,122 +42,21 @@ def run_replica_group(
     measurement_cycles: int,
     drain_cycles: int,
     bit_exact: bool = False,
-    backend_name: str = "batched",
+    backend: Union[str, SimulatorBackend, None] = "vectorized",
     probe: Optional["ProbeSpec"] = None,
-) -> List["SimulationResult"]:
-    """Run R replicas through one kernel; return per-replica results.
+) -> List[SimulationResult]:
+    """Run R replicas through one kernel of ``backend``; one result each.
 
-    Each replica observes exactly the cycle sequence of its solo
-    :meth:`Simulator.run`: per-replica measurement windows, scenario
-    timelines advanced through each replica's own packet-source wrapper,
-    and *per-replica* drain accounting -- a replica's
-    ``drain_cycles_used`` is the cycle count until *it* went idle (idle is
-    monotone during drain: sources are not polled, so a drained replica
-    stays drained while stragglers keep stepping).
+    See :func:`repro.sim.engine.run_lifecycle` for the per-replica
+    semantics.  ``backend`` must batch replicas (``batches_replicas``)
+    when more than one replica is given.
     """
-    # Deferred: repro.sim.engine imports this package at module scope.
-    from repro.scenario.runtime import ScenarioRuntime
-    from repro.sim.engine import SimulationResult
-
-    if warmup_cycles < 0 or measurement_cycles <= 0 or drain_cycles < 0:
-        raise ValueError("invalid cycle configuration")
-    if not replicas:
-        return []
-    injection_end = warmup_cycles + measurement_cycles
-
-    networks = [replica.network for replica in replicas]
-    sources: List["PacketSource"] = []
-    runtimes: List[Optional[ScenarioRuntime]] = []
-    for replica in replicas:
-        replica.network.stats.measurement_start = warmup_cycles
-        source: "PacketSource" = replica.packet_source
-        runtime: Optional[ScenarioRuntime] = None
-        if replica.scenario is not None:
-            runtime = ScenarioRuntime(
-                replica.scenario,
-                network=replica.network,
-                source=source,
-                base_seed=replica.scenario_seed,
-                injection_end=injection_end,
-            )
-            runtime.begin()
-            source = runtime.packet_source
-        sources.append(source)
-        runtimes.append(runtime)
-
-    count = len(replicas)
-    drain_used = [0] * count
-    kernel = _VectorizedKernel(networks, bit_exact=bit_exact)
-    step = kernel.step_exact if bit_exact else kernel.step
-    inject = kernel.inject
-    create_packet = kernel.create_packet
-    series = None if probe is None else [probe.series() for _ in replicas]
-
-    def _sample(cycle: int) -> None:
-        if series is None or not probe.should_sample(cycle):
-            return
-        for index, reading in enumerate(kernel.probe_readings()):
-            series[index].append(cycle, reading)
-
-    try:
-        for cycle in range(injection_end):
-            for index, source in enumerate(sources):
-                for request in source.requests(cycle):
-                    create_packet(
-                        index, request.source, request.destination,
-                        request.length, cycle,
-                    )
-            inject(cycle)
-            step(cycle)
-            _sample(cycle)
-
-        for drain in range(drain_cycles):
-            active = [
-                index for index in range(count)
-                if not kernel.replica_idle(index)
-            ]
-            if not active:
-                break
-            cycle = injection_end + drain
-            inject(cycle)
-            step(cycle)
-            for index in active:
-                drain_used[index] = drain + 1
-            _sample(cycle)
-    finally:
-        kernel.sync_back()
-        kernel.close()
-        for index, runtime in enumerate(runtimes):
-            if runtime is not None:
-                runtime.finalize(injection_end + drain_used[index])
-
-    results: List["SimulationResult"] = []
-    for index, replica in enumerate(replicas):
-        network = replica.network
-        stats = network.stats
-        result = SimulationResult(
-            stats=stats,
-            probe=None if series is None else series[index],
-            warmup_cycles=warmup_cycles,
-            measurement_cycles=measurement_cycles,
-            drain_cycles_used=drain_used[index],
-            num_nodes=network.mesh.num_nodes,
-            average_latency=stats.average_latency,
-            throughput=stats.throughput(
-                measurement_cycles, network.mesh.num_nodes
-            ),
-            policy_name=network.policy.name,
-            backend_name=backend_name,
-        )
-        energy_model = replica.energy_model
-        if energy_model is not None:
-            total = energy_model.total_energy(stats)
-            result.total_energy = total
-            if stats.flits_delivered > 0:
-                result.energy_per_flit = total / stats.flits_delivered
-            else:
-                result.energy_per_flit = 0.0
-            for phase in stats.phases:
-                phase.energy_j = energy_model.phase_energy(phase)
-        results.append(result)
-    return results
+    return run_lifecycle(
+        resolve_backend(backend),
+        replicas,
+        warmup_cycles=warmup_cycles,
+        measurement_cycles=measurement_cycles,
+        drain_cycles=drain_cycles,
+        bit_exact=bit_exact,
+        probe=probe,
+    )

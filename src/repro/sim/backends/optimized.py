@@ -59,7 +59,7 @@ Equivalence
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.sim.backends import SimulatorBackend, register_backend
 from repro.sim.router import OPPOSITE_PORT, Port, VERTICAL_PORTS
@@ -67,7 +67,6 @@ from repro.sim.router import OPPOSITE_PORT, Port, VERTICAL_PORTS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.buffer import FlitBuffer
     from repro.sim.network import Network
-    from repro.traffic.generator import PacketSource
 
 
 class _ActiveSetKernel:
@@ -237,7 +236,12 @@ class _ActiveSetKernel:
             if not queue:
                 live.discard(key)
 
-    def idle(self) -> bool:
+    def create_packet(
+        self, replica: int, source: int, destination: int, length: int, cycle: int
+    ) -> None:
+        self.network.create_packet(source, destination, length, cycle)
+
+    def replica_idle(self, replica: int) -> bool:
         """Whether the network is drained -- O(1) via the flit counters.
 
         Decision-equivalent to :meth:`Network.is_idle`: no live injection
@@ -245,7 +249,7 @@ class _ActiveSetKernel:
         """
         return not self.network._live_queues and self.total_flits == 0
 
-    def probe_reading(self) -> dict:
+    def probe_readings(self) -> List[dict]:
         """Sample the probe channels from the kernel's own counters.
 
         Read-only by construction (the never-perturbs invariant): one scan
@@ -264,12 +268,12 @@ class _ActiveSetKernel:
                 per_layer[node // nodes_per_layer] += flits
         queues = network._injection_queues
         backlog = sum(len(queues[key]) for key in network._live_queues)
-        return {
+        return [{
             "active_routers": active,
             "in_flight_flits": self.total_flits,
             "injection_backlog": backlog,
             "layer_occupancy": per_layer,
-        }
+        }]
 
     def step(self, cycle: int) -> None:
         """One cycle: route, allocate/traverse, commit -- active flits only."""
@@ -443,46 +447,7 @@ class OptimizedBackend(SimulatorBackend):
 
     name = "optimized"
 
-    def execute(
-        self,
-        network: "Network",
-        packet_source: "PacketSource",
-        *,
-        warmup_cycles: int,
-        measurement_cycles: int,
-        drain_cycles: int,
-    ) -> int:
-        kernel = _ActiveSetKernel(network)
-        step = kernel.step
-        inject = kernel.inject
-        create_packet = network.create_packet
-        probe = self._probe_begin()
-        injection_end = warmup_cycles + measurement_cycles
-        # The finally clause keeps the routers' introspection dicts truthful
-        # on *every* exit path -- a packet source or policy that raises
-        # mid-run must not leave the network allocation state stale.
-        try:
-            for cycle in range(injection_end):
-                for request in packet_source.requests(cycle):
-                    create_packet(
-                        request.source, request.destination, request.length, cycle
-                    )
-                inject(cycle)
-                step(cycle)
-                if probe is not None and probe.spec.should_sample(cycle):
-                    probe.append(cycle, kernel.probe_reading())
-
-            drain_used = 0
-            for drain in range(drain_cycles):
-                if kernel.idle():
-                    break
-                cycle = injection_end + drain
-                inject(cycle)
-                step(cycle)
-                drain_used = drain + 1
-                if probe is not None and probe.spec.should_sample(cycle):
-                    probe.append(cycle, kernel.probe_reading())
-        finally:
-            kernel.sync_back()
-            kernel.close()
-        return drain_used
+    def kernel(
+        self, networks: Sequence["Network"], *, bit_exact: bool
+    ) -> _ActiveSetKernel:
+        return _ActiveSetKernel(networks[0])

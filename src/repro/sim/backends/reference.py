@@ -1,8 +1,8 @@
 """The reference simulation kernel: full per-router scans every cycle.
 
-This is the cycle loop that originally lived in
-:meth:`repro.sim.engine.Simulator.run` plus :meth:`repro.sim.network.Network.step`,
-verbatim: every cycle, every router computes routes, performs switch
+Its step object is a thin adapter over the network's own methods
+(:meth:`repro.sim.network.Network.inject` / ``step`` / ``is_idle``):
+every cycle, every router computes routes, performs switch
 allocation/traversal, and commits staged arrivals, regardless of whether it
 holds any flit.  It stays the semantic baseline the ``optimized`` kernel is
 checked against -- slow, simple, and exercising exactly the per-router code
@@ -11,14 +11,39 @@ paths the unit tests pin down.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.obs.probes import network_reading
 from repro.sim.backends import SimulatorBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
-    from repro.traffic.generator import PacketSource
+
+
+class _NetworkKernel:
+    """Step object over one :class:`Network`'s own full-scan methods."""
+
+    def __init__(self, network: "Network") -> None:
+        self.network = network
+        self.inject = network.inject
+        self.step = network.step
+
+    def create_packet(
+        self, replica: int, source: int, destination: int, length: int, cycle: int
+    ) -> None:
+        self.network.create_packet(source, destination, length, cycle)
+
+    def replica_idle(self, replica: int) -> bool:
+        return self.network.is_idle()
+
+    def probe_readings(self) -> List[dict]:
+        return [network_reading(self.network)]
+
+    def sync_back(self) -> None:
+        """Nothing to write back: all state lives in the network."""
+
+    def close(self) -> None:
+        """Nothing to detach."""
 
 
 @register_backend(
@@ -31,35 +56,7 @@ class ReferenceBackend(SimulatorBackend):
 
     name = "reference"
 
-    def execute(
-        self,
-        network: "Network",
-        packet_source: "PacketSource",
-        *,
-        warmup_cycles: int,
-        measurement_cycles: int,
-        drain_cycles: int,
-    ) -> int:
-        probe = self._probe_begin()
-        injection_end = warmup_cycles + measurement_cycles
-        for cycle in range(injection_end):
-            for request in packet_source.requests(cycle):
-                network.create_packet(
-                    request.source, request.destination, request.length, cycle
-                )
-            network.inject(cycle)
-            network.step(cycle)
-            if probe is not None and probe.spec.should_sample(cycle):
-                probe.append(cycle, network_reading(network))
-
-        drain_used = 0
-        for drain in range(drain_cycles):
-            if network.is_idle():
-                break
-            cycle = injection_end + drain
-            network.inject(cycle)
-            network.step(cycle)
-            drain_used = drain + 1
-            if probe is not None and probe.spec.should_sample(cycle):
-                probe.append(cycle, network_reading(network))
-        return drain_used
+    def kernel(
+        self, networks: Sequence["Network"], *, bit_exact: bool
+    ) -> _NetworkKernel:
+        return _NetworkKernel(networks[0])

@@ -32,8 +32,10 @@ The replica axis
     therefore observes exactly the event sequence of a solo run -- the
     batched path is bit-identical to R independent vectorized runs, per
     replica, in both fast and exact mode (pinned by
-    ``tests/test_replica_batch.py``).  The solo case is simply R=1; the
-    ``batched`` backend (:mod:`repro.sim.backends.batched`) drives R>1.
+    ``tests/test_replica_batch.py``).  The solo case is simply R=1;
+    :func:`repro.sim.backends.batched.run_replica_group` drives R>1 (the
+    ``batched``, ``replica`` and ``multi-seed`` names are aliases of this
+    backend).
 
 Equivalence: the tolerance contract and bit-exact mode
     Packet-level bookkeeping (creation, elevator selection, latency
@@ -88,7 +90,6 @@ from repro.sim.router import OPPOSITE_PORT, Port, VERTICAL_PORTS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
-    from repro.traffic.generator import PacketSource
 
 _LOCAL = int(Port.LOCAL)
 _UP = int(Port.UP)
@@ -120,7 +121,10 @@ class _VectorizedKernel:
                     "replica networks must be structurally identical "
                     "(mesh shape, virtual channels, buffer depth)"
                 )
-        self.bit_exact = bit_exact
+        if bit_exact:
+            # The lifecycle calls ``step``; exact mode swaps in the
+            # sequential allocation discipline for this run.
+            self.step = self.step_exact
         self.routes = first._route_computation.tables
         num_vcs = first.num_vcs
         self.num_vcs = num_vcs
@@ -488,12 +492,6 @@ class _VectorizedKernel:
         return (
             not self.networks[replica]._live_queues
             and self.total_flits[replica] == 0
-        )
-
-    def idle(self) -> bool:
-        """Whether every replica is drained."""
-        return all(
-            self.replica_idle(replica) for replica in range(self.num_replicas)
         )
 
     # ------------------------------------------------------------------ #
@@ -1052,61 +1050,19 @@ class _VectorizedKernel:
 
 @register_backend(
     "vectorized",
-    aliases=("numpy", "flat-array"),
+    aliases=("numpy", "flat-array", "batched", "replica", "multi-seed"),
     description=(
-        "flat-array numpy kernel for the high-load regime "
-        "(tolerance contract; bit-exact mode available)"
+        "flat-array numpy kernel for the high-load regime, with a replica "
+        "axis (tolerance contract; bit-exact mode available)"
     ),
 )
 class VectorizedBackend(SimulatorBackend):
     """Vectorized flat-array simulation kernel (see module docstring)."""
 
     name = "vectorized"
+    batches_replicas = True
 
-    def __init__(self, bit_exact: bool = False) -> None:
-        self.bit_exact = bit_exact
-
-    def execute(
-        self,
-        network: "Network",
-        packet_source: "PacketSource",
-        *,
-        warmup_cycles: int,
-        measurement_cycles: int,
-        drain_cycles: int,
-    ) -> int:
-        kernel = _VectorizedKernel([network], bit_exact=self.bit_exact)
-        step = kernel.step_exact if self.bit_exact else kernel.step
-        inject = kernel.inject
-        create_packet = kernel.create_packet
-        probe = self._probe_begin()
-        injection_end = warmup_cycles + measurement_cycles
-        # The finally clause rematerializes Flit-level state on *every*
-        # exit path -- a packet source or policy raising mid-run must not
-        # leave the network unreadable.
-        try:
-            for cycle in range(injection_end):
-                for request in packet_source.requests(cycle):
-                    create_packet(
-                        0, request.source, request.destination, request.length,
-                        cycle,
-                    )
-                inject(cycle)
-                step(cycle)
-                if probe is not None and probe.spec.should_sample(cycle):
-                    probe.append(cycle, kernel.probe_readings()[0])
-
-            drain_used = 0
-            for drain in range(drain_cycles):
-                if kernel.idle():
-                    break
-                cycle = injection_end + drain
-                inject(cycle)
-                step(cycle)
-                drain_used = drain + 1
-                if probe is not None and probe.spec.should_sample(cycle):
-                    probe.append(cycle, kernel.probe_readings()[0])
-        finally:
-            kernel.sync_back()
-            kernel.close()
-        return drain_used
+    def kernel(
+        self, networks: Sequence["Network"], *, bit_exact: bool
+    ) -> _VectorizedKernel:
+        return _VectorizedKernel(networks, bit_exact=bit_exact)

@@ -1,4 +1,4 @@
-"""Simulation driver.
+"""Simulation driver: the one run lifecycle.
 
 The :class:`Simulator` connects a :class:`~repro.sim.network.Network` with a
 :class:`~repro.traffic.generator.PacketSource` and runs the cycle loop:
@@ -10,11 +10,20 @@ The :class:`Simulator` connects a :class:`~repro.sim.network.Network` with a
   network will not drain, which is expected at injection rates past the
   saturation point).
 
-The loop itself is executed by a pluggable kernel -- a
-:class:`~repro.sim.backends.SimulatorBackend` resolved by name through
-:data:`~repro.sim.backends.BACKEND_REGISTRY` (``optimized`` by default,
-``reference`` for the original full-scan loop).  All backends are
-bit-identical in their results; they differ only in speed.
+That loop, with scenario begin/finalize, per-replica drain accounting,
+probe sampling and result assembly, is written once, in
+:func:`run_lifecycle`.  :meth:`Simulator.run` drives it with one replica;
+:func:`repro.sim.backends.batched.run_replica_group` drives it with R
+seed-replicas through one multi-network kernel.
+
+Each cycle is executed by a pluggable kernel -- the step object a
+:class:`~repro.sim.backends.SimulatorBackend` (resolved by name through
+:data:`~repro.sim.backends.BACKEND_REGISTRY`, ``optimized`` by default)
+builds for the run.  ``reference`` and ``optimized`` are bit-identical.
+``vectorized`` is bit-identical to them only with ``bit_exact``; its
+default fast mode honors a tolerance contract instead (identical packet
+creation, flit conservation, aggregates within a small band; see
+:mod:`repro.sim.backends.vectorized`).
 
 The result object bundles the statistics with derived, report-ready metrics
 (average latency, throughput, energy per flit when an energy model is
@@ -24,7 +33,7 @@ supplied).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.energy.model import EnergyModel
 from repro.scenario.runtime import ScenarioRuntime
@@ -120,6 +129,174 @@ class SimulationResult:
         return summary
 
 
+@dataclass
+class ReplicaRun:
+    """One replica's inputs to :func:`run_lifecycle`.
+
+    The network and packet source must be freshly built (or ``reset``) for
+    this replica.  Replicas of one group run interleaved, so each needs its
+    *own* placement object when a scenario is attached: fault events
+    mutate the placement.
+    """
+
+    network: Network
+    packet_source: PacketSource
+    scenario: Optional[ScenarioSpec] = None
+    scenario_seed: int = 0
+    energy_model: Optional[EnergyModel] = None
+
+
+def _check_cycles(warmup_cycles: int, measurement_cycles: int, drain_cycles: int) -> None:
+    if warmup_cycles < 0 or measurement_cycles <= 0 or drain_cycles < 0:
+        raise ValueError("invalid cycle configuration")
+
+
+def run_lifecycle(
+    backend: SimulatorBackend,
+    replicas: Sequence[ReplicaRun],
+    *,
+    warmup_cycles: int,
+    measurement_cycles: int,
+    drain_cycles: int,
+    bit_exact: bool = False,
+    probe: Optional[Any] = None,
+) -> List[SimulationResult]:
+    """Run R replicas through one kernel of ``backend``; one result each.
+
+    Each replica observes exactly the cycle sequence of a solo run: its own
+    measurement window, its scenario timeline advanced through its own
+    packet-source wrapper, and its own drain accounting -- a replica's
+    ``drain_cycles_used`` counts the cycles until *it* went idle (idle is
+    monotone during drain: sources are not polled, so a drained replica
+    stays drained while stragglers keep stepping).
+
+    Args:
+        backend: Kernel factory; must set ``batches_replicas`` for R > 1.
+        replicas: Per-replica inputs (structurally identical networks).
+        bit_exact: Ask the kernel for results bit-identical to
+            ``reference`` (kernels that are exact anyway ignore it).
+        probe: Optional :class:`~repro.obs.probes.ProbeSpec`; each result
+            then carries its replica's sampled series in ``probe``.
+
+    Raises:
+        ValueError: Invalid cycle counts, or R > 1 on a backend whose
+            kernel takes one network.
+    """
+    _check_cycles(warmup_cycles, measurement_cycles, drain_cycles)
+    count = len(replicas)
+    if count > 1 and not backend.batches_replicas:
+        raise ValueError(
+            f"backend {backend.name!r} runs one network per kernel, "
+            f"got {count} replicas"
+        )
+    if not count:
+        return []
+    injection_end = warmup_cycles + measurement_cycles
+
+    sources: List[PacketSource] = []
+    runtimes: List[Optional[ScenarioRuntime]] = []
+    for replica in replicas:
+        replica.network.stats.measurement_start = warmup_cycles
+        source = replica.packet_source
+        runtime: Optional[ScenarioRuntime] = None
+        if replica.scenario is not None:
+            runtime = ScenarioRuntime(
+                replica.scenario,
+                network=replica.network,
+                source=source,
+                base_seed=replica.scenario_seed,
+                injection_end=injection_end,
+            )
+            runtime.begin()
+            source = runtime.packet_source
+        sources.append(source)
+        runtimes.append(runtime)
+
+    drain_used = [0] * count
+    series = None if probe is None else [probe.series() for _ in replicas]
+    try:
+        kernel = backend.kernel(
+            [replica.network for replica in replicas], bit_exact=bit_exact
+        )
+        create_packet = kernel.create_packet
+        inject = kernel.inject
+        step = kernel.step
+
+        def sample(cycle: int) -> None:
+            if series is not None and probe.should_sample(cycle):
+                for item, reading in zip(series, kernel.probe_readings()):
+                    item.append(cycle, reading)
+
+        # The inner finally keeps the networks readable on *every* exit
+        # path: a packet source or policy raising mid-run must not leave
+        # allocation state stale or a listener attached.
+        try:
+            for cycle in range(injection_end):
+                for index, source in enumerate(sources):
+                    for request in source.requests(cycle):
+                        create_packet(
+                            index, request.source, request.destination,
+                            request.length, cycle,
+                        )
+                inject(cycle)
+                step(cycle)
+                sample(cycle)
+
+            for drain in range(drain_cycles):
+                active = [
+                    index for index in range(count)
+                    if not kernel.replica_idle(index)
+                ]
+                if not active:
+                    break
+                cycle = injection_end + drain
+                inject(cycle)
+                step(cycle)
+                for index in active:
+                    drain_used[index] = drain + 1
+                sample(cycle)
+        finally:
+            kernel.sync_back()
+            kernel.close()
+    finally:
+        # Close the final phase window and undo scenario mutations on
+        # every exit path, so shared placements never leak fault state.
+        for runtime, used in zip(runtimes, drain_used):
+            if runtime is not None:
+                runtime.finalize(injection_end + used)
+
+    results: List[SimulationResult] = []
+    for index, replica in enumerate(replicas):
+        network = replica.network
+        stats = network.stats
+        result = SimulationResult(
+            stats=stats,
+            probe=None if series is None else series[index],
+            warmup_cycles=warmup_cycles,
+            measurement_cycles=measurement_cycles,
+            drain_cycles_used=drain_used[index],
+            num_nodes=network.mesh.num_nodes,
+            average_latency=stats.average_latency,
+            throughput=stats.throughput(
+                measurement_cycles, network.mesh.num_nodes
+            ),
+            policy_name=network.policy.name,
+            backend_name=backend.name,
+        )
+        energy_model = replica.energy_model
+        if energy_model is not None:
+            total = energy_model.total_energy(stats)
+            result.total_energy = total
+            if stats.flits_delivered > 0:
+                result.energy_per_flit = total / stats.flits_delivered
+            else:
+                result.energy_per_flit = 0.0
+            for phase in stats.phases:
+                phase.energy_j = energy_model.phase_energy(phase)
+        results.append(result)
+    return results
+
+
 class Simulator:
     """Runs a network + packet source for a configured number of cycles.
 
@@ -141,18 +318,18 @@ class Simulator:
             statistics gain per-phase measurement windows.
         scenario_seed: Seed that phase traffic patterns derive theirs from
             (the experiment seed, for spec-driven runs).
-        bit_exact: Ask the backend for results bit-identical to the
+        bit_exact: Ask the kernel for results bit-identical to the
             ``reference`` kernel even where its fast path only honors the
             documented tolerance contract (the ``vectorized`` backend; the
-            other kernels are inherently exact and ignore the flag).  The
-            flag is set on the resolved backend instance, so passing a
-            pre-built backend shared across simulators with different
-            ``bit_exact`` values is the caller's responsibility.
+            other kernels are inherently exact and ignore the flag).
         probe: Optional :class:`~repro.obs.probes.ProbeSpec` asking the
             kernel to sample per-cycle congestion gauges into
-            ``result.probe``.  A run argument threaded to the backend
-            exactly like ``bit_exact`` -- never a spec field, never part
-            of cache keys or summaries (see :mod:`repro.obs`).
+            ``result.probe``.  Never a spec field, never part of cache
+            keys or summaries (see :mod:`repro.obs`).
+
+    ``bit_exact`` and ``probe`` are arguments of this run only; the backend
+    instance holds no run state, so one instance can serve any number of
+    simulators.
     """
 
     def __init__(
@@ -169,8 +346,7 @@ class Simulator:
         bit_exact: bool = False,
         probe: Optional[Any] = None,
     ) -> None:
-        if warmup_cycles < 0 or measurement_cycles <= 0 or drain_cycles < 0:
-            raise ValueError("invalid cycle configuration")
+        _check_cycles(warmup_cycles, measurement_cycles, drain_cycles)
         self.network = network
         self.packet_source = packet_source
         self.warmup_cycles = warmup_cycles
@@ -178,72 +354,30 @@ class Simulator:
         self.drain_cycles = drain_cycles
         self.energy_model = energy_model
         self.backend = resolve_backend(backend)
-        if bit_exact:
-            self.backend.bit_exact = True
-        if probe is not None:
-            self.backend.probe = probe
         self.scenario = scenario
         self.scenario_seed = scenario_seed
+        self.bit_exact = bit_exact
+        self.probe = probe
 
     def run(self) -> SimulationResult:
         """Execute the simulation and return its result."""
-        network = self.network
-        network.stats.measurement_start = self.warmup_cycles
-        injection_end = self.warmup_cycles + self.measurement_cycles
-
-        source: PacketSource = self.packet_source
-        runtime: Optional[ScenarioRuntime] = None
-        if self.scenario is not None:
-            runtime = ScenarioRuntime(
-                self.scenario,
-                network=network,
-                source=source,
-                base_seed=self.scenario_seed,
-                injection_end=injection_end,
-            )
-            runtime.begin()
-            source = runtime.packet_source
-
-        drain_used = 0
-        try:
-            drain_used = self.backend.execute(
-                network,
-                source,
-                warmup_cycles=self.warmup_cycles,
-                measurement_cycles=self.measurement_cycles,
-                drain_cycles=self.drain_cycles,
-            )
-        finally:
-            # Close the final phase window and undo scenario mutations on
-            # every exit path, so shared placements never leak fault state.
-            if runtime is not None:
-                runtime.finalize(injection_end + drain_used)
-
-        stats = network.stats
-        last_probe = getattr(self.backend, "last_probe", None)
-        result = SimulationResult(
-            stats=stats,
-            probe=last_probe[0] if last_probe else None,
+        [result] = run_lifecycle(
+            self.backend,
+            [
+                ReplicaRun(
+                    network=self.network,
+                    packet_source=self.packet_source,
+                    scenario=self.scenario,
+                    scenario_seed=self.scenario_seed,
+                    energy_model=self.energy_model,
+                )
+            ],
             warmup_cycles=self.warmup_cycles,
             measurement_cycles=self.measurement_cycles,
-            drain_cycles_used=drain_used,
-            num_nodes=network.mesh.num_nodes,
-            average_latency=stats.average_latency,
-            throughput=stats.throughput(
-                self.measurement_cycles, network.mesh.num_nodes
-            ),
-            policy_name=network.policy.name,
-            backend_name=self.backend.name,
+            drain_cycles=self.drain_cycles,
+            bit_exact=self.bit_exact,
+            probe=self.probe,
         )
-        if self.energy_model is not None:
-            total = self.energy_model.total_energy(stats)
-            result.total_energy = total
-            if stats.flits_delivered > 0:
-                result.energy_per_flit = total / stats.flits_delivered
-            else:
-                result.energy_per_flit = 0.0
-            for phase in stats.phases:
-                phase.energy_j = self.energy_model.phase_energy(phase)
         return result
 
 

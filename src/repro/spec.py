@@ -71,6 +71,12 @@ def _require_name(name: Any, what: str) -> str:
     return name
 
 
+def _is_int(value: Any) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` would serialize as
+    JSON ``true`` and split the cache key from ``1``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_tuple(value: Any, length: int, what: str) -> Tuple[int, ...]:
     message = f"{what} must be a list of {length} integers, got {value!r}"
     if not isinstance(value, (list, tuple)) or len(value) != length:
@@ -260,7 +266,7 @@ class TrafficSpec:
             raise ValueError(f"injection_rate must be >= 0, got {self.injection_rate!r}")
         for name in ("min_packet_length", "max_packet_length"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.max_packet_length < self.min_packet_length:
             raise ValueError("max_packet_length must be >= min_packet_length")
@@ -358,11 +364,11 @@ class SimSpec:
     def __post_init__(self) -> None:
         for name in ("warmup_cycles", "measurement_cycles", "drain_cycles"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if not isinstance(self.buffer_depth, int) or self.buffer_depth < 1:
+        if not _is_int(self.buffer_depth) or self.buffer_depth < 1:
             raise ValueError(f"buffer_depth must be >= 1, got {self.buffer_depth!r}")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.backend, str) or not self.backend.strip():
             raise ValueError(
@@ -482,7 +488,7 @@ class DesignSpec:
         object.__setattr__(self, "optimizer", self.optimizer.strip().lower())
         object.__setattr__(self, "options", _options_dict(self.options, "optimizer options"))
         if self.max_subset_size is not None:
-            if not isinstance(self.max_subset_size, int) or self.max_subset_size < 1:
+            if not _is_int(self.max_subset_size) or self.max_subset_size < 1:
                 raise ValueError(
                     f"max_subset_size must be a positive integer or None, "
                     f"got {self.max_subset_size!r}"
@@ -499,11 +505,7 @@ class DesignSpec:
                 f"weight_distance_by_traffic must be a boolean, "
                 f"got {self.weight_distance_by_traffic!r}"
             )
-        if (
-            isinstance(self.num_representatives, bool)
-            or not isinstance(self.num_representatives, int)
-            or self.num_representatives < 1
-        ):
+        if not _is_int(self.num_representatives) or self.num_representatives < 1:
             raise ValueError(
                 f"num_representatives must be a positive integer, "
                 f"got {self.num_representatives!r}"

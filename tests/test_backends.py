@@ -52,8 +52,8 @@ except ImportError:  # pragma: no cover - numpy-less installs
     VectorizedBackend = None
     HAVE_VECTORIZED = False
 
-#: Backends under the bit-identity contract (the numpy kernels via their
-#: bit_exact mode; ``batched`` with one replica IS the vectorized path).
+#: Backends under the bit-identity contract (the numpy kernel via its
+#: bit_exact mode; ``batched`` is an alias of ``vectorized``).
 ALL_BACKENDS = ["reference", "optimized"] + (
     ["vectorized", "batched"] if HAVE_VECTORIZED else []
 )
@@ -116,7 +116,7 @@ class TestRegistry:
         assert "optimized" in BACKEND_REGISTRY
         expected = ["optimized", "reference"]
         if HAVE_VECTORIZED:
-            expected = ["batched", "optimized", "reference", "vectorized"]
+            expected = ["optimized", "reference", "vectorized"]
         assert available_backends() == expected
 
     @requires_vectorized
@@ -124,18 +124,53 @@ class TestRegistry:
         assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
         assert isinstance(resolve_backend("numpy"), VectorizedBackend)
         assert isinstance(resolve_backend("flat-array"), VectorizedBackend)
-        assert resolve_backend("vectorized").bit_exact is False
+        # bit_exact is a run argument, never backend instance state.
+        assert not hasattr(resolve_backend("vectorized"), "bit_exact")
 
     @requires_vectorized
     def test_batched_aliases_resolve(self):
-        from repro.sim.backends.batched import BatchedBackend
+        # The replica-batching names are aliases of the vectorized backend:
+        # a solo spec routed through them takes the identical kernel path.
+        for alias in ("batched", "replica", "multi-seed"):
+            assert BACKEND_REGISTRY.entry(alias).name == "vectorized"
+            assert type(resolve_backend(alias)) is VectorizedBackend
+        assert "batched" not in available_backends()
 
-        assert isinstance(resolve_backend("batched"), BatchedBackend)
-        assert isinstance(resolve_backend("replica"), BatchedBackend)
-        assert isinstance(resolve_backend("multi-seed"), BatchedBackend)
-        # BatchedBackend subclasses VectorizedBackend: a solo spec routed
-        # through "batched" takes the identical single-replica kernel path.
-        assert isinstance(resolve_backend("batched"), VectorizedBackend)
+    @requires_vectorized
+    @pytest.mark.parametrize("alias", ["batched", "replica", "multi-seed"])
+    def test_batched_aliases_share_the_vectorized_config_key(self, alias):
+        from repro.exec.cache import config_key
+
+        # Result-equivalent backend names never split the cache.
+        for bit_exact in (False, True):
+            assert config_key(_spec(alias, bit_exact=bit_exact)) == config_key(
+                _spec("vectorized", bit_exact=bit_exact)
+            )
+
+    @requires_vectorized
+    def test_shared_backend_instance_keeps_no_run_state(self):
+        from repro.obs.probes import ProbeSpec
+
+        backend = resolve_backend("vectorized")
+
+        def run(backend, **kwargs):
+            placement = _placement()
+            network = Network(placement, make_policy("elevator_first", placement))
+            source = BernoulliPacketSource(
+                UniformTraffic(placement.mesh), 0.08, seed=11
+            )
+            return Simulator(network, source, 30, 150, 200, backend=backend,
+                             **kwargs).run()
+
+        exact = run(backend, bit_exact=True, probe=ProbeSpec(interval=10))
+        assert exact.probe is not None
+        # A later run on the same instance asks for neither flag: it must
+        # run the fast mode, unprobed, exactly like a fresh instance.
+        reused = run(backend)
+        fresh = run(resolve_backend("vectorized"))
+        assert fresh.summary() != exact.summary()
+        assert reused.summary() == fresh.summary()
+        assert reused.probe is None
 
     def test_default_is_optimized(self):
         assert DEFAULT_BACKEND == "optimized"
@@ -167,12 +202,18 @@ class TestRegistry:
         class NoopBackend(SimulatorBackend):
             name = "test-noop"
 
-            def execute(self, network, packet_source, *, warmup_cycles,
-                        measurement_cycles, drain_cycles):
-                return 0
+            def kernel(self, networks, *, bit_exact):
+                return ReferenceBackend().kernel(networks, bit_exact=bit_exact)
 
         try:
             assert isinstance(resolve_backend("test-noop"), NoopBackend)
+            placement = _placement()
+            network = Network(placement, make_policy("elevator_first", placement))
+            source = BernoulliPacketSource(UniformTraffic(placement.mesh), 0.02)
+            result = Simulator(network, source, 10, 20, 10,
+                               backend="test-noop").run()
+            assert result.backend_name == "test-noop"
+            assert result.stats.packets_created > 0
         finally:
             BACKEND_REGISTRY.unregister("test-noop")
 

@@ -3,7 +3,7 @@
 Every backend family must fill the same channels with plausible values --
 the reference kernel by scanning the network, the active-set kernel from
 its incremental counters, the flat-array kernel with numpy reductions
-(one series per replica under the batched backend).  Neutrality (probed
+(one series per replica in a replica group).  Neutrality (probed
 == unprobed, bit for bit) is pinned in ``test_obs_neutrality.py``; this
 file covers the probe machinery itself.
 """

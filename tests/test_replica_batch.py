@@ -52,7 +52,6 @@ from repro.exec.cache import (  # noqa: E402
 )
 from repro.scenario.spec import ScenarioSpec  # noqa: E402
 from repro.sim.backends.batched import (  # noqa: E402
-    BatchedBackend,
     ReplicaRun,
     run_replica_group,
 )
@@ -159,15 +158,57 @@ class TestReplicaGroupContract:
         fields = _result_fields(result)
         # backend_name is presentation-only and absent from summaries.
         assert fields == solo
-        assert result.backend_name == "batched"
+        assert result.backend_name == "vectorized"
 
     def test_backend_registered_as_vectorized_subclass(self):
-        from repro.sim.backends import resolve_backend
+        from repro.sim.backends import BACKEND_REGISTRY, resolve_backend
         from repro.sim.backends.vectorized import VectorizedBackend
 
+        # "batched" is an alias of the vectorized backend, not a class.
         backend = resolve_backend("batched")
-        assert isinstance(backend, BatchedBackend)
-        assert isinstance(backend, VectorizedBackend)
+        assert BACKEND_REGISTRY.entry("batched").name == "vectorized"
+        assert type(backend) is VectorizedBackend
+        assert backend.batches_replicas
+
+    def test_alias_group_matches_vectorized_group(self):
+        specs = [_spec(seed) for seed in SEEDS[:2]]
+        kwargs = dict(
+            warmup_cycles=specs[0].sim.warmup_cycles,
+            measurement_cycles=specs[0].sim.measurement_cycles,
+            drain_cycles=specs[0].sim.drain_cycles,
+        )
+        by_alias = run_replica_group(
+            [_replica_for(spec) for spec in specs], backend="batched", **kwargs
+        )
+        by_name = run_replica_group(
+            [_replica_for(spec) for spec in specs], **kwargs
+        )
+        assert [_result_fields(r) for r in by_alias] == [
+            _result_fields(r) for r in by_name
+        ]
+
+    @pytest.mark.parametrize("backend", ["optimized", "reference"])
+    def test_single_network_kernels_reject_groups(self, backend):
+        specs = [_spec(seed, backend=backend) for seed in SEEDS[:2]]
+        with pytest.raises(ValueError, match="one network per kernel"):
+            run_replica_group(
+                [_replica_for(spec) for spec in specs],
+                warmup_cycles=20, measurement_cycles=80, drain_cycles=120,
+                backend=backend,
+            )
+
+    @pytest.mark.parametrize("backend", ["optimized", "reference"])
+    def test_single_network_kernels_run_one_replica(self, backend):
+        spec = _spec(7, backend=backend)
+        [result] = run_replica_group(
+            [_replica_for(spec)],
+            warmup_cycles=spec.sim.warmup_cycles,
+            measurement_cycles=spec.sim.measurement_cycles,
+            drain_cycles=spec.sim.drain_cycles,
+            backend=backend,
+        )
+        assert _result_fields(result) == _result_fields(run_experiment(spec))
+        assert result.backend_name == backend
 
     def test_empty_group_returns_empty(self):
         assert run_replica_group(

@@ -29,6 +29,7 @@ from repro.exec.cache import (
     spec_from_canonical,
 )
 from repro.spec import (
+    DesignSpec,
     ExperimentSpec,
     PlacementSpec,
     PolicySpec,
@@ -139,16 +140,29 @@ _events = st.lists(
     ),
     max_size=3,
 )
+_placement_documents = _document(
+    {
+        "name": _names,
+        "mesh": st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        "columns": st.lists(st.lists(_small_ints, max_size=3), max_size=3),
+    }
+)
+_design_documents = _document(
+    {
+        "placement": _placement_documents,
+        "traffic": st.just("uniform"),
+        "optimizer": st.just("amosa"),
+        "options": _json,
+        "max_subset_size": _small_ints,
+        "selection": st.just("knee"),
+        "weight_distance_by_traffic": st.booleans(),
+        "num_representatives": _small_ints,
+    }
+)
 _json_documents = _document(
     {
         "format": st.just(1),
-        "placement": _document(
-            {
-                "name": _names,
-                "mesh": st.lists(st.integers(0, 4), min_size=3, max_size=3),
-                "columns": st.lists(st.lists(_small_ints, max_size=3), max_size=3),
-            }
-        ),
+        "placement": _placement_documents,
         "policy": _document({"name": st.just("adele"), "options": _json}),
         "traffic": _document(
             {
@@ -168,15 +182,7 @@ _json_documents = _document(
                 "bit_exact": st.booleans(),
             }
         ),
-        "design": _document(
-            {
-                "optimizer": st.just("amosa"),
-                "options": _json,
-                "max_subset_size": _small_ints,
-                "selection": st.just("knee"),
-                "num_representatives": _small_ints,
-            }
-        ),
+        "design": _design_documents,
         "scenario": _document({"events": _events}),
     }
 )
@@ -268,6 +274,17 @@ class TestSpecValidation:
             {"traffic": {"options": "abc"}},
             {"traffic": {"min_packet_length": "10"}},
             {"design": {"options": [1]}},
+            # Booleans are not integers: True would serialize as JSON true
+            # and split the cache key from 1.
+            {"sim": {"warmup_cycles": True}},
+            {"sim": {"measurement_cycles": True}},
+            {"sim": {"drain_cycles": False}},
+            {"sim": {"buffer_depth": True}},
+            {"sim": {"seed": True}},
+            {"traffic": {"min_packet_length": True}},
+            {"traffic": {"max_packet_length": True}},
+            {"design": {"max_subset_size": True}},
+            {"design": {"num_representatives": True}},
         ],
     )
     def test_from_dict_rejects_wrong_container_types(self, document):
@@ -282,6 +299,15 @@ class TestSpecValidation:
         except ValueError:
             return
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=_design_documents)
+    def test_any_json_document_parses_design_or_raises_value_error(self, document):
+        try:
+            design = DesignSpec.from_dict(document)
+        except ValueError:
+            return
+        assert DesignSpec.from_dict(design.to_dict()) == design
 
     def test_sim_validation(self):
         with pytest.raises(ValueError):
