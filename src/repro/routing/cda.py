@@ -19,10 +19,11 @@ farther elevators only when the near ones congest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.routing.base import ElevatorSelectionPolicy, path_nodes, register_policy
 from repro.topology.elevators import Elevator, ElevatorPlacement
+from repro.topology.mesh3d import Coordinate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
@@ -41,7 +42,10 @@ class CDAPolicy(ElevatorSelectionPolicy):
             source-to-elevator path, in hop-equivalents per buffered flit.
         update_period: How often (in cycles) the global occupancy snapshot is
             refreshed.  ``1`` is the paper's optimistic instantaneous-sharing
-            assumption; larger values model the staleness a real
+            assumption: no snapshot is kept, and each selection reads the
+            live occupancy of just the routers on its candidates' paths,
+            which selects exactly what a full-mesh snapshot taken at that
+            moment would.  Larger values model the staleness a real
             implementation would incur and are used by the ablation bench.
     """
 
@@ -81,29 +85,35 @@ class CDAPolicy(ElevatorSelectionPolicy):
         network: Optional["Network"],
         cycle: int,
     ) -> Elevator:
-        occupancy = self._occupancy_view(network, cycle)
+        occupancy_of = self._occupancy_reader(network, cycle)
+        source_coord = self.mesh.coordinate(source)
         candidates = self.placement.healthy_elevators()
         best: Optional[Elevator] = None
         best_cost = float("inf")
         for elevator in candidates:
-            cost = self._cost(source, elevator, occupancy)
+            cost = self._cost(source, source_coord, elevator, occupancy_of)
             if cost < best_cost:
                 best = elevator
                 best_cost = cost
         assert best is not None
         return best
 
-    def _occupancy_view(
+    def _occupancy_reader(
         self, network: Optional["Network"], cycle: int
-    ) -> Dict[int, int]:
-        """The buffer-occupancy snapshot visible to the routers this cycle."""
+    ) -> Optional[Callable[[int], int]]:
+        """Per-node buffer occupancy visible to the routers this cycle.
+
+        In the instantaneous mode (``update_period == 1``) this is the live
+        :meth:`Network.buffer_occupancy` itself, so a selection reads only
+        the routers on its candidates' source-to-elevator paths -- the
+        same values a full-mesh snapshot taken now would hold for them.
+        Stale modes read a full-mesh snapshot refreshed every
+        ``update_period`` cycles.  ``None`` means no congestion term.
+        """
         if network is None or self.congestion_weight == 0:
-            return {}
+            return None
         if self.update_period == 1:
-            return {
-                node: network.buffer_occupancy(node)
-                for node in self.mesh.nodes()
-            }
+            return network.buffer_occupancy
         due = (
             self._snapshot_cycle is None
             or cycle - self._snapshot_cycle >= self.update_period
@@ -114,20 +124,20 @@ class CDAPolicy(ElevatorSelectionPolicy):
                 for node in self.mesh.nodes()
             }
             self._snapshot_cycle = cycle
-        return self._snapshot
+        return self._snapshot.__getitem__
 
     def _cost(
         self,
         source: int,
+        source_coord: Coordinate,
         elevator: Elevator,
-        occupancy: Dict[int, int],
+        occupancy_of: Optional[Callable[[int], int]],
     ) -> float:
-        source_coord = self.mesh.coordinate(source)
         distance = abs(source_coord.x - elevator.x) + abs(source_coord.y - elevator.y)
         congestion = 0.0
-        if occupancy and self.congestion_weight > 0:
+        if occupancy_of is not None:
             for node in self._path_to_elevator(source, elevator):
-                congestion += occupancy.get(node, 0)
+                congestion += occupancy_of(node)
         return distance + self.congestion_weight * congestion
 
     def _path_to_elevator(self, source: int, elevator: Elevator) -> List[int]:

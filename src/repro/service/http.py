@@ -56,7 +56,7 @@ from repro.obs.tracing import span
 from repro.service.queue import JobQueue
 from repro.service.store import SqliteStore
 from repro.service.workers import WorkerPool
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, _is_int
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
@@ -318,7 +318,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except ValueError as error:
             raise _ApiError(400, f"invalid experiment spec: {error}")
         base_seed = body.get("base_seed")
-        if base_seed is not None and not isinstance(base_seed, int):
+        if base_seed is not None and not _is_int(base_seed):
             raise _ApiError(400, "base_seed must be an integer or null")
         receipt = self.context.queue.submit(specs, base_seed=base_seed)
         document = receipt.job.to_dict()

@@ -43,11 +43,22 @@ Active-set invariants
       choice.
 
 Equivalence
-    Packet creation, flit delivery and statistics route through the same
-    :class:`~repro.sim.network.Network` methods the reference kernel uses;
-    injection is inlined here (mirroring :meth:`Network.inject` line for
-    line, including the queue visiting order) so the kernel can maintain
-    its counters.  The cross-backend matrix in ``tests/test_backends.py``
+    Packet creation routes through the same
+    :class:`~repro.sim.network.Network` method the reference kernel uses.
+    Injection, flit delivery and the end-of-cycle commit are inlined here,
+    mirroring :meth:`Network.inject`, :meth:`Network.deliver_flit` and
+    :meth:`FlitBuffer.commit` effect for effect and in the same order
+    (queue visiting order; router-traversal count, source-side exit cycles
+    and AdEle's latency feedback, ejection or link statistics, hop counts,
+    staging), so the kernel can maintain its counters without a method
+    call per flit.  Both guards of the reference path survive: a flit
+    routed through a missing link raises ``RuntimeError`` and a flit staged
+    into a full buffer raises ``OverflowError``.  For the duration of a run
+    the kernel installs its per-router flit counter as the network's
+    occupancy provider (:meth:`Network.set_occupancy_provider`), cleared in
+    :meth:`_ActiveSetKernel.close`: packets are created between cycles,
+    when nothing is staged, so the counter equals the visible occupancy
+    CDA reads.  The cross-backend matrix in ``tests/test_backends.py``
     asserts bit-identical results.  One caveat: allocation state lives in
     this kernel's flat arrays, so the per-:class:`~repro.sim.router.Router`
     introspection dicts (``current_route`` / ``output_owner``) are stale
@@ -88,6 +99,8 @@ class _ActiveSetKernel:
             out_port: OPPOSITE_PORT[out_port] * num_vcs
             for out_port in OPPOSITE_PORT
         }
+        #: Per output port: whether its link is vertical (a TSV).
+        self.vertical_port = [port in VERTICAL_PORTS for port in ports]
 
         #: Per router: input buffers in channel order.
         self.buffers: List[List["FlitBuffer"]] = []
@@ -165,9 +178,12 @@ class _ActiveSetKernel:
         # downstream tables are rebuilt incrementally -- only the affected
         # routers, only their vertical ports.
         network.add_topology_listener(self._on_topology_change)
+        # CDA reads occupancy from the flit counters (see "Equivalence").
+        network.set_occupancy_provider(self.count.__getitem__)
 
     def close(self) -> None:
         """Detach from the network (end of run)."""
+        self.network.set_occupancy_provider(None)
         self.network.remove_topology_listener(self._on_topology_change)
 
     def _on_topology_change(self, nodes) -> None:
@@ -286,10 +302,11 @@ class _ActiveSetKernel:
 
         # Phase 1: route computation -- head flits at buffer fronts claim
         # an output port (held until their tail flit traverses).
-        # The loops below read FlitBuffer internals (``_fifo`` / ``_staged``)
-        # directly: this is the hottest code in the repository and attribute
-        # loads beat method dispatch; all *mutation* still goes through the
-        # buffer methods, so the two-phase invariants cannot be broken here.
+        # The loops below read and write FlitBuffer internals (``_fifo`` /
+        # ``_staged``) directly: this is the hottest code in the repository
+        # and attribute loads beat method dispatch.  Every write mirrors a
+        # buffer method -- ``pop``, ``stage`` with its full-buffer guard,
+        # ``commit`` -- so the two-phase invariants hold as they do there.
         for node in active:
             bufs = all_buffers[node]
             route = all_routes[node]
@@ -313,8 +330,22 @@ class _ActiveSetKernel:
 
         # Phase 2: switch allocation and traversal, ascending node order
         # (one flit per output port; round-robin over competing input VCs).
-        deliver = network.deliver_flit
-        channel_keys = self.channel_keys
+        # Each granted flit is delivered inline, mirroring
+        # :meth:`Network.deliver_flit` effect for effect and in the same
+        # order; the stats window and phase cannot change inside a step.
+        stats = network.stats
+        measuring = cycle >= stats.measurement_start
+        measurement_start = stats.measurement_start
+        phase = stats._phase
+        traversals = stats.router_traversals
+        traversals_get = traversals.get
+        record_packet_delivered = stats.record_packet_delivered
+        notify_source_latency = network.policy.notify_source_latency
+        network_active = network._active_routers
+        vertical_port = self.vertical_port
+        neighbor_ids = self.neighbor_id
+        opp_base = self.opp_base
+        active_set = self.active
         num_channels = self.num_channels
         count = self.count
         mask = self.mask
@@ -373,41 +404,101 @@ class _ActiveSetKernel:
                 if winner is None:
                     continue
                 buf = bufs[winner]
-                flit = buf.pop()
+                fifo = buf._fifo
+                flit = fifo.popleft()
                 flit_type = flit.flit_type
+                is_head = flit_type.is_head
+                is_tail = flit_type.is_tail
                 out_key = out_port * num_vcs + winner_vc
-                if flit_type.is_head:
+                if is_head:
                     owner[out_key] = winner
-                if flit_type.is_tail:
+                if is_tail:
                     owner[out_key] = None
                     route[winner] = None
                 rr[out_port] = (winner + 1) % num_channels
                 count[node] -= 1
-                if not (buf._fifo or buf._staged):
+                if not (fifo or buf._staged):
                     mask[node] &= ~(1 << winner)
+
+                # Delivery: router traversal, source-side exit cycles,
+                # then ejection or the link hop into the next buffer.
+                packet = flit.packet
+                if measuring:
+                    traversals[node] = traversals_get(node, 0) + 1
+                    if phase is not None:
+                        phase.router_traversals += 1
+                # LOCAL is port 0: channels below num_vcs are its VCs.
+                if winner < num_vcs and node == packet.source:
+                    if is_head:
+                        packet.head_exit_cycle = cycle
+                    if is_tail:
+                        packet.tail_exit_cycle = cycle
+                        metric = packet.source_serialization_latency()
+                        if metric is not None and packet.elevator_index is not None:
+                            notify_source_latency(
+                                packet.source, packet.elevator_index, metric, cycle
+                            )
                 if out_port == Port.LOCAL:
                     self.total_flits -= 1
-                else:
-                    neighbor = self.neighbor_id[node][out_port]
-                    count[neighbor] += 1
-                    mask[neighbor] |= 1 << (self.opp_base[out_port] + winner_vc)
-                    self.active.add(neighbor)
-                    staged_buffers.append(down[out_port][winner_vc])
-                deliver(
-                    node, channel_keys[winner], out_port, winner_vc, flit, cycle
-                )
+                    if packet.creation_cycle >= measurement_start:
+                        stats.flits_delivered += 1
+                        if phase is not None:
+                            phase.flits_delivered += 1
+                    if is_tail:
+                        packet.delivery_cycle = cycle
+                        record_packet_delivered(packet, cycle)
+                        network._in_flight -= 1
+                    continue
+
+                neighbor = neighbor_ids[node][out_port]
+                if neighbor is None:
+                    raise RuntimeError(
+                        "flit routed through missing link: "
+                        f"node {node}, port {out_port}"
+                    )
+                vertical = vertical_port[out_port]
+                if measuring:
+                    if vertical:
+                        stats.vertical_link_traversals += 1
+                        if phase is not None:
+                            phase.vertical_link_traversals += 1
+                    else:
+                        stats.horizontal_link_traversals += 1
+                        if phase is not None:
+                            phase.horizontal_link_traversals += 1
+                if is_head:
+                    packet.hops += 1
+                    if vertical:
+                        packet.vertical_hops += 1
+                downstream = down[out_port][winner_vc]
+                staged = downstream._staged
+                if len(downstream._fifo) + len(staged) >= downstream.depth:
+                    raise OverflowError(
+                        "flit arrived at a full buffer (flow-control bug)"
+                    )
+                staged.append(flit)
+                network_active.add(neighbor)
+                count[neighbor] += 1
+                mask[neighbor] |= 1 << (opp_base[out_port] + winner_vc)
+                active_set.add(neighbor)
+                staged_buffers.append(downstream)
 
         # Phase 3: commit the buffers that received staged flits this cycle
-        # and prune routers whose flit counter dropped to zero.  Pruning
-        # only drops iteration work -- allocation state survives in the
-        # flat arrays (see the module docstring's invariants).
+        # (:meth:`FlitBuffer.commit`, inlined; a buffer listed twice has
+        # nothing left to move the second time) and prune routers whose
+        # flit counter dropped to zero.  Pruning only drops iteration work
+        # -- allocation state survives in the flat arrays (see the module
+        # docstring's invariants).
         if staged_buffers:
             for buf in staged_buffers:
-                buf.commit()
+                staged = buf._staged
+                if staged:
+                    buf._fifo.extend(staged)
+                    staged.clear()
             staged_buffers.clear()
-        pruned = [node for node in self.active if not count[node]]
+        pruned = [node for node in active_set if not count[node]]
         for node in pruned:
-            self.active.discard(node)
+            active_set.discard(node)
 
     def sync_back(self) -> None:
         """Write the flat allocation state back into the Router dicts.

@@ -128,8 +128,8 @@ class Network:
 
         # Optional occupancy override installed by simulation kernels that
         # keep buffer state outside the FlitBuffer objects (the vectorized
-        # backend), so occupancy-driven policies (CDA) keep seeing live
-        # counts mid-run.
+        # backend) or count it per router (the optimized backend), so
+        # occupancy-driven policies (CDA) read live counts mid-run.
         self._occupancy_provider: Optional[Callable[[int], int]] = None
 
     # ------------------------------------------------------------------ #
@@ -190,9 +190,10 @@ class Network:
     ) -> None:
         """Install (or clear, with ``None``) a buffer-occupancy override.
 
-        Kernels holding flit state outside the router FlitBuffers install a
-        provider for the duration of a run and must clear it when they sync
-        state back, so idle-time queries read the routers again.
+        Kernels holding or counting flit state outside the router
+        FlitBuffers install a provider for the duration of a run and must
+        clear it when the run ends, so idle-time queries read the routers
+        again.
         """
         self._occupancy_provider = provider
 
@@ -348,7 +349,11 @@ class Network:
         flit: Flit,
         cycle: int,
     ) -> None:
-        """Move a granted flit out of a router (ejection or next-hop stage)."""
+        """Move a granted flit out of a router (ejection or next-hop stage).
+
+        The reference kernel's path.  The optimized kernel inlines this
+        method (``_ActiveSetKernel.step``); keep the two in step.
+        """
         packet = flit.packet
         flit_type = flit.flit_type
         stats = self.stats

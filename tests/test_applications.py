@@ -6,9 +6,44 @@ from repro.topology.mesh3d import Mesh3D
 from repro.traffic.applications import (
     APPLICATION_NAMES,
     ApplicationSpec,
+    ApplicationTraffic,
     application_spec,
     make_application_traffic,
 )
+
+
+class _ScanReferenceTraffic(ApplicationTraffic):
+    """The graph build as formulated before the distance-row table: sort
+    candidates by ``Mesh3D.manhattan_3d`` and derive each source's row by a
+    full scan of the matrix."""
+
+    def __init__(self, mesh, spec, seed=0):
+        super().__init__(mesh, spec, seed)
+        self._per_source = {}
+        for src in mesh.nodes():
+            destinations, weights = [], []
+            for (s, d), w in self._matrix.items():
+                if s == src:
+                    destinations.append(d)
+                    weights.append(w)
+            self._per_source[src] = (destinations, weights)
+
+    def _pick_partners(self, src, distances, rng):
+        mesh = self.mesh
+        count = min(self.spec.partners_per_node, mesh.num_nodes - 1)
+        others = [node for node in mesh.nodes() if node != src]
+        rng.shuffle(others)
+        by_distance = sorted(others, key=lambda node: mesh.manhattan_3d(src, node))
+        partners = []
+        for _ in range(count):
+            pool = [node for node in by_distance if node not in partners]
+            if not pool:
+                break
+            if rng.random() < self.spec.locality:
+                partners.append(pool[0])
+            else:
+                partners.append(rng.choice(pool))
+        return partners
 
 
 @pytest.fixture
@@ -107,6 +142,22 @@ class TestApplicationTraffic:
         matrix = traffic.traffic_matrix()
         pairs_per_source = len([1 for (s, _d) in matrix if s == 0])
         assert pairs_per_source < mesh.num_nodes - 1
+
+    @pytest.mark.parametrize("name", APPLICATION_NAMES)
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 2, 2)])
+    def test_build_matches_scan_reference(self, name, shape):
+        mesh = Mesh3D(*shape)
+        for seed in (0, 3):
+            fast = ApplicationTraffic(mesh, application_spec(name), seed=seed)
+            ref = _ScanReferenceTraffic(mesh, application_spec(name), seed=seed)
+            assert list(fast.traffic_matrix().items()) == list(
+                ref.traffic_matrix().items()
+            )
+            assert fast._per_source == ref._per_source
+            # The sampling streams then stay in lockstep too.
+            assert [fast.destination(s) for s in mesh.nodes()] == [
+                ref.destination(s) for s in mesh.nodes()
+            ]
 
     def test_load_factor_exposed(self, mesh):
         traffic = make_application_traffic("lu", mesh, seed=0)

@@ -24,7 +24,9 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.runner import run_experiment
 from repro.registry import UnknownComponentError
 from repro.routing import make_policy
+from repro.routing.adele import AdElePolicy
 from repro.routing.base import PrecomputedRoutes, compute_output_port
+from repro.routing.cda import CDAPolicy
 from repro.sim.backends import (
     BACKEND_REGISTRY,
     DEFAULT_BACKEND,
@@ -40,7 +42,11 @@ from repro.sim.stats import SimulationStats
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
-from repro.traffic.generator import BernoulliPacketSource, TracePacketSource
+from repro.traffic.generator import (
+    BernoulliPacketSource,
+    PacketSource,
+    TracePacketSource,
+)
 from repro.traffic.patterns import UniformTraffic
 from repro.traffic.trace import TraceEvent, TrafficTrace
 
@@ -465,6 +471,172 @@ class TestActiveSetInvariants:
         network.reset()
         assert network.active_routers() == set()
         assert network.is_idle()
+
+
+class _ProviderWatchingSource(PacketSource):
+    """Wraps a source; records the network's occupancy provider each cycle.
+
+    While a provider is installed it must agree with the routers' visible
+    occupancy at every node -- the premise of serving CDA from the kernel's
+    counters.  Optionally raises at ``fail_at`` to exercise the error path.
+    """
+
+    def __init__(self, inner, network, fail_at=None):
+        self.inner = inner
+        self.network = network
+        self.fail_at = fail_at
+        self.providers = []
+
+    def requests(self, cycle):
+        provider = self.network._occupancy_provider
+        self.providers.append(provider)
+        if provider is not None:
+            for node, router in enumerate(self.network.routers):
+                assert provider(node) == router.buffer_occupancy(), (cycle, node)
+        if cycle == self.fail_at:
+            raise RuntimeError("packet source failed")
+        return self.inner.requests(cycle)
+
+
+class _FullSnapshotCheckedCDA(CDAPolicy):
+    """CDA that cross-checks every instantaneous selection against the
+    full-mesh snapshot formulation it replaced."""
+
+    def __init__(self, placement):
+        super().__init__(placement)
+        self.selections = 0
+        self.mismatches = 0
+        self.non_nearest = 0
+
+    def _select(self, source, destination, network, cycle):
+        chosen = super()._select(source, destination, network, cycle)
+        snapshot = {
+            node: network.buffer_occupancy(node) for node in self.mesh.nodes()
+        }
+        coord = self.mesh.coordinate(source)
+        best, best_cost, nearest, nearest_distance = None, float("inf"), None, None
+        for elevator in self.placement.healthy_elevators():
+            distance = abs(coord.x - elevator.x) + abs(coord.y - elevator.y)
+            congestion = 0.0
+            for node in self._path_to_elevator(source, elevator):
+                congestion += snapshot.get(node, 0)
+            cost = distance + self.congestion_weight * congestion
+            if cost < best_cost:
+                best, best_cost = elevator, cost
+            if nearest is None or distance < nearest_distance:
+                nearest, nearest_distance = elevator, distance
+        self.selections += 1
+        self.mismatches += chosen is not best
+        self.non_nearest += chosen is not nearest
+        return chosen
+
+
+def _three_elevator_placement() -> ElevatorPlacement:
+    return ElevatorPlacement(
+        Mesh3D(4, 4, 2), [(0, 0), (3, 3), (0, 3)], name="inline-test"
+    )
+
+
+class TestInlinedDelivery:
+    """Pins the optimized kernel's inlined delivery and its CDA occupancy
+    provider to the reference path, beyond the summary-level matrix."""
+
+    def _run_pair(self, make_policy_for, rate):
+        runs = {}
+        for backend in ("reference", "optimized"):
+            placement = _three_elevator_placement()
+            policy = make_policy_for(placement)
+            network = Network(placement, policy)
+            source = BernoulliPacketSource(
+                UniformTraffic(placement.mesh, seed=5), rate, seed=5
+            )
+            result = Simulator(network, source, 20, 150, 200,
+                               backend=backend).run()
+            runs[backend] = (result, policy)
+        return runs
+
+    @pytest.mark.parametrize("policy", ["elevator_first", "cda", "minimal"])
+    @pytest.mark.parametrize("rate", [0.01, 0.08])
+    def test_router_traversal_key_order_identical(self, policy, rate):
+        runs = self._run_pair(lambda p: make_policy(policy, p), rate=rate)
+        ref = runs["reference"][0].stats
+        opt = runs["optimized"][0].stats
+        assert ref.router_traversals
+        # Equal dicts with equal insertion order: the first traversal of
+        # every router is recorded in the same sequence.
+        assert list(ref.router_traversals.items()) == list(
+            opt.router_traversals.items()
+        )
+
+    def test_adele_ewma_cost_tables_identical(self):
+        def adele(placement):
+            subsets = {node: [0, 1, 2] for node in placement.mesh.nodes()}
+            return AdElePolicy(placement, subsets=subsets, seed=3)
+
+        runs = self._run_pair(adele, rate=0.08)
+        tables = {}
+        for backend, (result, policy) in runs.items():
+            tables[backend] = {
+                node: (dict(state.costs), state.pointer, dict(state.selections))
+                for node, state in policy.states.items()
+            }
+        # The feedback path ran (some cost moved off zero) ...
+        assert any(
+            cost > 0.0
+            for costs, _pointer, _sel in tables["reference"].values()
+            for cost in costs.values()
+        )
+        # ... and every per-source EWMA value agrees bit for bit.
+        assert tables["reference"] == tables["optimized"]
+        assert (
+            runs["reference"][0].summary() == runs["optimized"][0].summary()
+        )
+
+    def test_occupancy_provider_installed_for_the_run_only(self):
+        placement = _three_elevator_placement()
+        network = Network(placement, make_policy("cda", placement))
+        source = _ProviderWatchingSource(
+            BernoulliPacketSource(UniformTraffic(placement.mesh, seed=5), 0.08,
+                                  seed=5),
+            network,
+        )
+        assert network._occupancy_provider is None
+        Simulator(network, source, 20, 100, 100, backend="optimized").run()
+        assert source.providers and all(
+            provider is not None for provider in source.providers
+        )
+        assert network._occupancy_provider is None
+        # Back on the routers after the run.
+        assert network.buffer_occupancy(0) == network.routers[0].buffer_occupancy()
+
+    def test_occupancy_provider_cleared_when_source_raises(self):
+        placement = _three_elevator_placement()
+        network = Network(placement, make_policy("cda", placement))
+        source = _ProviderWatchingSource(
+            BernoulliPacketSource(UniformTraffic(placement.mesh, seed=5), 0.08,
+                                  seed=5),
+            network,
+            fail_at=60,
+        )
+        with pytest.raises(RuntimeError, match="packet source failed"):
+            Simulator(network, source, 20, 100, 100, backend="optimized").run()
+        assert len(source.providers) == 61
+        assert source.providers[-1] is not None
+        assert network._occupancy_provider is None
+
+    @pytest.mark.parametrize("backend", ["reference", "optimized"])
+    def test_cda_path_reads_select_like_full_snapshot(self, backend):
+        placement = _three_elevator_placement()
+        policy = _FullSnapshotCheckedCDA(placement)
+        network = Network(placement, policy)
+        source = BernoulliPacketSource(
+            UniformTraffic(placement.mesh, seed=5), 0.08, seed=5
+        )
+        Simulator(network, source, 20, 150, 200, backend=backend).run()
+        assert policy.selections > 100
+        # Congestion actually steered some packets off the nearest elevator.
+        assert policy.non_nearest > 0
+        assert policy.mismatches == 0
 
 
 class TestDrainAccounting:

@@ -133,6 +133,16 @@ class TestServiceEndToEnd:
                 service._request("POST", "/api/jobs", body)
             assert excinfo.value.status == 400, body
 
+    @pytest.mark.parametrize("base_seed", [True, False, "7", 7.0, [7]])
+    def test_non_integer_base_seed_is_400(self, service, base_seed):
+        # JSON true must not pass for the seed 1 (bool is an int subclass).
+        body = {"specs": [_spec().to_dict()], "base_seed": base_seed}
+        with pytest.raises(ServiceError) as excinfo:
+            service._request("POST", "/api/jobs", body)
+        assert excinfo.value.status == 400
+        assert "base_seed" in str(excinfo.value)
+        assert service.jobs() == []
+
     def test_oversized_body_is_413_before_reading(self, service):
         url = urlsplit(service.base_url)
         connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
