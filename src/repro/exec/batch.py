@@ -33,9 +33,9 @@ Replica batching
     solo runs.  Grouping changes *only* wall-clock: each replica keeps its
     own ``config_key``, summary row and cache entry, and the grouped cache
     is byte-identical to an ungrouped run of the same grid (pinned by
-    tests and the ``BENCH_perf_replicas`` gate).  Groups never span chunk
-    boundaries, so ``--shard`` partitioning, checkpoint manifests and
-    ``run_streaming`` aggregation behave exactly as before.
+    tests and the ``benchmarks/bench_engine_scaling.py`` gate).  Groups
+    never span chunk boundaries, so ``--shard`` partitioning, checkpoint
+    manifests and ``run_streaming`` aggregation behave exactly as before.
 
 Warm-worker memoization
     Workers keep small per-process LRUs of expensive setup objects:

@@ -68,6 +68,13 @@ LOGGER = logging.getLogger("repro.service")
 #: Largest request body accepted, in bytes; longer requests get 413 unread.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Most specs one job may hold; larger submissions get 413 before any spec
+#: is parsed or queued.  A job's tasks are inserted in one SQLite
+#: transaction and its results come back as one document, so this bounds
+#: both.  The 81-spec paper sweep sits two orders of magnitude below it;
+#: larger grids are submitted as several jobs.
+MAX_SPECS_PER_JOB = 10_000
+
 #: Prometheus text exposition content type.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -312,6 +319,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise _ApiError(
                 400, "submission needs 'specs' (a non-empty list of "
                      "ExperimentSpec documents) or a single 'spec'"
+            )
+        if len(documents) > MAX_SPECS_PER_JOB:
+            raise _ApiError(
+                413, f"submission of {len(documents)} specs exceeds "
+                     f"{MAX_SPECS_PER_JOB} per job"
             )
         try:
             specs = [ExperimentSpec.from_dict(doc) for doc in documents]

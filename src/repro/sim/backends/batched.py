@@ -13,7 +13,7 @@ the numpy call overhead R ways, while every replica keeps its own
 scenario timeline.
 
 The hard invariant -- pinned by ``tests/test_replica_batch.py`` and the
-``BENCH_perf_replicas`` gate -- is that each replica's
+``benchmarks/bench_engine_scaling.py`` gate -- is that each replica's
 :class:`~repro.sim.engine.SimulationResult` is **bit-identical** to the
 solo run of the same spec.  Both go through the same
 :func:`repro.sim.engine.run_lifecycle`; :func:`run_replica_group` is the

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.amosa import AmosaConfig, AmosaOptimizer
 from repro.core.objectives import (
     DeltaObjectiveEvaluator,
     ExactSum,
@@ -269,3 +270,34 @@ class TestDeltaEvaluatorApi:
         # chains cannot pin the whole history in memory (only the current
         # base and the still-pending candidate may carry one).
         assert sum(1 for s in chain if s.parent is not None) <= 2
+
+
+# --------------------------------------------------------------------- #
+# Whole AMOSA runs
+# --------------------------------------------------------------------- #
+def _amosa_run(placement, incremental):
+    problem = ElevatorSubsetProblem(
+        placement,
+        UniformTraffic(placement.mesh).traffic_matrix(),
+        max_subset_size=3,
+        incremental=incremental,
+    )
+    # The heuristic seeds optimize_elevator_subsets starts from.
+    seeds = [problem.nearest_elevator_solution(), problem.full_subset_solution()]
+    seeds += [problem.nearest_k_solution(k) for k in (2, 3)]
+    config = AmosaConfig(iterations_per_temperature=10, seed=1)
+    return AmosaOptimizer(problem, config=config).run(seeds=seeds)
+
+
+def test_full_and_incremental_amosa_runs_are_identical():
+    """Exact evaluation leaves the whole annealing trajectory unchanged."""
+    placement = ElevatorPlacement(
+        Mesh3D(4, 4, 4), [(1, 1), (2, 2), (3, 0)], name="amosa-modes"
+    )
+    full, incremental = (_amosa_run(placement, mode) for mode in (False, True))
+    assert len(full.archive) > 1
+    assert full.evaluations == incremental.evaluations
+    assert full.accepted_moves == incremental.accepted_moves
+    assert [(e.objectives, e.solution.subsets()) for e in full.archive] == [
+        (e.objectives, e.solution.subsets()) for e in incremental.archive
+    ]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis.runner import DesignCache, adele_design_for
 from repro.core.amosa import AmosaConfig
 from repro.core.optimizers import (
     DEFAULT_OFFLINE_AMOSA,
@@ -253,6 +254,45 @@ class TestPipelineIntegration:
         best_greedy = min(e.objectives[0] for e in greedy.archive)
         best_random = min(e.objectives[0] for e in rand.archive)
         assert best_greedy <= best_random + 1e-12
+
+
+def _hypervolume_2d(points, ref):
+    """Area a two-objective minimization front dominates up to ``ref``."""
+    area, prev_y = 0.0, ref[1]
+    for x, y in sorted(set(points)):
+        if y < prev_y:
+            area += (ref[0] - x) * (prev_y - y)
+            prev_y = y
+    return area
+
+
+def test_amosa_hypervolume_at_least_random_search_at_equal_budget():
+    """AMOSA's front dominates no less area than random sampling's.
+
+    The bound holds at this budget (1,731 evaluations) but not at 441
+    (``iterations_per_temperature=10``, max subset 2), where random search
+    scores 68.5 against AMOSA's 67.6.
+    """
+    placement = ElevatorPlacement(
+        Mesh3D(4, 4, 4), [(1, 1), (2, 2), (3, 0)], name="quality"
+    )
+
+    def design(optimizer, options):
+        return adele_design_for(
+            placement, max_subset_size=3, optimizer=optimizer,
+            optimizer_options=options, cache=DesignCache(),
+        )
+
+    amosa = design("amosa", {"iterations_per_temperature": 40, "seed": 1})
+    budget = amosa.result.evaluations
+    assert budget >= 1000
+    rand = design("random-search", {"evaluations": budget, "seed": 1})
+    assert rand.result.evaluations == budget
+    fronts = [amosa.pareto_points(), rand.pareto_points()]
+    union = fronts[0] + fronts[1]
+    ref = tuple(1.05 * max(p[i] for p in union) + 1e-9 for i in (0, 1))
+    amosa_hv, random_hv = (_hypervolume_2d(front, ref) for front in fronts)
+    assert amosa_hv >= random_hv - 1e-12
 
 
 def test_amosa_on_iteration_direct():

@@ -291,6 +291,25 @@ class TestCrossBackendMatrix:
         assert 0 not in result.stats.elevator_assignments
         assert result.stats.packets_delivered > 0
 
+    @pytest.mark.parametrize("policy", ["elevator_first", "cda", "adele"])
+    def test_cold_fault_keeps_delivering(self, policy):
+        # The Section V fault study (examples/fault_tolerance.py) at smoke
+        # windows: with e0 down from cycle 0, traffic still gets through.
+        spec = ExperimentSpec(
+            placement=PlacementSpec(
+                name="FAULTDEMO",
+                mesh=(4, 4, 4),
+                columns=((1, 1), (2, 2), (3, 0), (0, 3)),
+            ),
+            policy=PolicySpec(name=policy),
+            traffic=TrafficSpec(pattern="uniform", injection_rate=0.003),
+            sim=SimSpec(
+                warmup_cycles=50, measurement_cycles=300, drain_cycles=200, seed=7
+            ),
+            scenario=ScenarioSpec(events=(ElevatorFault(cycle=0, elevator=0),)),
+        )
+        assert run_experiment(spec).stats.delivery_ratio > 0.5
+
 
 # ---------------------------------------------------------------------- #
 # Runtime semantics

@@ -18,6 +18,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro import api
+from repro.service import http as service_http
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import MAX_BODY_BYTES, ServiceContext, make_server
 from repro.service.queue import JobQueue
@@ -159,6 +160,18 @@ class TestServiceEndToEnd:
         finally:
             connection.close()
         assert service.health()["status"] == "ok"
+
+    def test_spec_count_over_cap_is_413_before_parsing(self, service, monkeypatch):
+        monkeypatch.setattr(service_http, "MAX_SPECS_PER_JOB", 2)
+        # Three invalid documents: 413, not 400, shows none was parsed.
+        for documents in ([_spec(rate).to_dict() for rate in (0.001, 0.002, 0.003)],
+                          [{"placement": {"mesh": 3}}] * 3):
+            with pytest.raises(ServiceError) as excinfo:
+                service._request("POST", "/api/jobs", {"specs": documents})
+            assert excinfo.value.status == 413
+            assert "exceeds 2 per job" in str(excinfo.value)
+        assert service.jobs() == []
+        assert service.submit_receipt([_spec(0.001), _spec(0.002)])["created"] is True
 
     def test_unknown_route_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:
