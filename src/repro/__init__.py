@@ -39,7 +39,6 @@ from repro.topology import (
     Coordinate,
     ElevatorPlacement,
     Mesh3D,
-    optimize_placement,
     standard_placement,
 )
 from repro.traffic import (
@@ -103,7 +102,6 @@ __all__ = [
     "Mesh3D",
     "ElevatorPlacement",
     "standard_placement",
-    "optimize_placement",
     "UniformTraffic",
     "ShuffleTraffic",
     "ApplicationTraffic",

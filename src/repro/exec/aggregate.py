@@ -302,7 +302,7 @@ def _designs_from_json_dir(path: str) -> List[Tuple[str, Dict[str, Any]]]:
 
 
 def _rows_from_document(path: str, data: Dict[str, Any]) -> List[_ResultRow]:
-    """Rows from a ``--json`` output document (``run``/``scenario``/``sweep``).
+    """Rows from a ``--json`` output document (``run``/``sweep``).
 
     The document's ``outcomes`` entries carry the effective spec, which is
     re-canonicalized so the merged cache entry's ``config`` field matches
@@ -347,7 +347,7 @@ def merge_results(
             too), a directory holding the service database
             (``repro.sqlite3``; both layouts merge when both exist), an
             explicit ``*.sqlite3`` file, or a ``--json`` output document of
-            ``run``/``scenario`` (its ``outcomes`` rows merge; no designs).
+            ``run``/``sweep`` (its ``outcomes`` rows merge; no designs).
         into: Destination cache directory, opened with ``backend`` exactly
             like ``--cache-dir`` -- so the merged set is immediately
             servable by every other command.

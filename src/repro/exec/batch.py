@@ -71,6 +71,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.analysis.runner import (

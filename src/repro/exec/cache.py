@@ -109,10 +109,12 @@ def canonical_config(spec: ExperimentSpec) -> Dict[str, Any]:
         data["traffic"]["pattern"] = _canonical_name(
             PATTERN_REGISTRY, pattern, str.lower
         )
-    # Backends are result-equivalent, so the canonical form drops the key
-    # entirely when an alias resolves to the default kernel -- a spec that
-    # spells the default differently must not split the cache (and specs
-    # predating the backend field hash identically to default-backend ones).
+    # The canonical form drops the key entirely when an alias resolves to
+    # the default kernel -- a spec that spells the default differently must
+    # not split the cache (and specs predating the backend field hash
+    # identically to default-backend ones).  Any other backend keeps its
+    # own key: reference is bit-identical to the default, but vectorized
+    # only matches under its tolerance contract unless ``bit_exact`` is set.
     backend = data["sim"].get("backend")
     if backend is not None:
         canonical_backend = _canonical_name(BACKEND_REGISTRY, backend, str.lower)
@@ -252,9 +254,10 @@ def derive_seed(spec: ExperimentSpec, base_seed: int = 0) -> int:
     before hashing, so the derived seed depends only on *what* is simulated
     plus the batch-level base seed -- two batches with the same base seed
     assign identical seeds to identical tasks regardless of process, worker
-    count or submission order.  The simulation *backend* is excluded for
-    the same reason: backends are result-equivalent, so the same experiment
-    run on different kernels must draw the same traffic.
+    count or submission order.  The simulation *backend* is excluded so the
+    same experiment draws the same traffic on every kernel: reference and
+    optimized then agree bit for bit, and vectorized agrees under its
+    tolerance contract (bit for bit when ``bit_exact`` is set).
     """
     payload = canonical_config(spec)
     payload["sim"] = dict(payload["sim"], seed=int(base_seed))

@@ -14,7 +14,11 @@ every figure of the paper is built from, plus the component registries:
 ``run``
     Execute experiment specs from a ``--spec`` JSON file (a single
     :meth:`repro.spec.ExperimentSpec.to_dict` document or a list of them)
-    through the batch engine and print one summary row per spec.
+    through the batch engine and print one summary row per spec.  A spec
+    that carries a ``scenario`` timeline (traffic phases, rate ramps,
+    elevator faults/repairs, markers) gets its per-phase measurement
+    windows printed under its row; ``--json`` carries them in each
+    outcome's ``summary["phases"]``.
 
 ``optimize``
     Run (or fetch from the disk design cache) the paper's offline stage for
@@ -25,13 +29,6 @@ every figure of the paper is built from, plus the component registries:
     ``--spec FILE`` reads a ``DesignSpec`` JSON document; flags override
     its fields, ``--progress`` streams per-iteration progress, and a warm
     ``--cache-dir`` serves the whole design from disk.
-
-``scenario``
-    Run event-driven dynamic scenarios from a ``--spec`` JSON file: each
-    spec carries a ``scenario`` timeline (traffic phases, rate ramps,
-    elevator faults/repairs, markers) and the report shows one row per
-    spec plus its per-phase measurement windows.  Shares the engine flags,
-    so scenario grids fan out over workers and cache like any other runs.
 
 ``serve``
     Run the persistent experiment service: a ``ThreadingHTTPServer`` front
@@ -69,12 +66,6 @@ every figure of the paper is built from, plus the component registries:
     and the full ``GET /metrics`` Prometheus exposition (engine counters,
     queue gauges, latency histograms).
 
-``probe``
-    Run experiment specs with an opt-in kernel probe attached (sample
-    interval + channel selection) and dump the per-cycle congestion
-    series as JSONL rows.  The probe is a run argument, never a spec
-    field: probed results are bit-identical to unprobed ones.
-
 ``list``
     Show every registered policy, traffic pattern, application model,
     placement, simulation backend, offline optimizer and scenario event
@@ -83,8 +74,11 @@ every figure of the paper is built from, plus the component registries:
 
 ``sweep``/``compare``/``run`` also accept ``--backend NAME`` selecting the
 simulation kernel (``optimized`` by default; ``reference`` for the original
-full-scan loop).  Backends are result-equivalent -- the flag changes wall
-clock, never numbers.
+full-scan loop; ``vectorized`` for the numpy flat-array kernel).
+``reference`` and ``optimized`` are bit-identical.  ``vectorized`` keeps its
+own cache key and matches them under the tolerance contract of
+:mod:`repro.sim.backends.vectorized`, bit for bit only when the spec sets
+``bit_exact``.
 
 All subcommands accept ``--plugin MODULE`` (repeatable): the module is
 imported first, so its ``@register_policy`` / ``@register_pattern`` /
@@ -111,13 +105,13 @@ imported first, so its ``@register_policy`` / ``@register_pattern`` /
     entry, the historical layout) or ``sqlite`` (the concurrent-safe
     service store).  Both key by the same canonical hashes.
 
-``sweep``/``compare``/``run``/``scenario``/``optimize`` also accept
+``sweep``/``compare``/``run``/``optimize`` also accept
 ``--json``: one machine-readable JSON document on stdout instead of the
 human tables (the format clients and scripts consume; note non-finite
 floats serialize as ``Infinity``/``NaN``, which ``json.loads`` accepts).
 
-``sweep``/``compare``/``run``/``scenario`` (and ``serve``) share the
-observability flags:
+``sweep``/``compare``/``run`` (and ``serve``) share the observability
+flags:
 
 ``--trace FILE``
     Append one JSONL span record per instrumented boundary (setup,
@@ -130,8 +124,7 @@ observability flags:
     cycles; the sampled series ride in the ``--json`` document under
     ``probes`` (keyed by cache key).  Results stay bit-identical.
 
-``sweep``/``run``/``scenario`` additionally accept the horizontal-scale
-flags:
+``sweep``/``run`` additionally accept the horizontal-scale flags:
 
 ``--shard K/N``
     Run only the grid slice shard K of N owns (deterministic partition by
@@ -145,9 +138,9 @@ flags:
     every C completed specs, so a killed mega-sweep resumes from its last
     chunk instead of restarting.
 
-The sweep/compare target is either a named placement (``--placement PS1``)
-or an ad-hoc one (``--mesh X Y Z --elevators "x,y;x,y"``), which keeps CI
-smoke runs on tiny meshes fast.
+The sweep/compare/optimize target is either a named placement
+(``--placement PS1``) or an ad-hoc one (``--mesh X Y Z --elevators
+"x,y;x,y"``), which keeps CI smoke runs on tiny meshes fast.
 """
 
 from __future__ import annotations
@@ -160,7 +153,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.comparison import format_table, policy_comparison_from_summaries
-from repro.analysis.runner import design_for, design_key_for, run_experiment
+from repro.analysis.runner import design_for, design_key_for
 from repro.analysis.sweep import LatencyCurve, saturation_rate
 from repro.core.optimizers import OPTIMIZER_REGISTRY
 from repro.core.selection import SELECTION_STRATEGIES
@@ -176,7 +169,6 @@ from repro.obs.tracing import (
     chrome_trace_document,
     install_tracer,
     load_span_records,
-    span,
     trace_report,
 )
 from repro.routing.base import POLICY_REGISTRY
@@ -227,11 +219,12 @@ def _load_plugins(args: argparse.Namespace) -> None:
             raise SystemExit(f"cannot import --plugin {module!r}: {error}")
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_plugin_argument(parser)
+def _add_target_arguments(
+    parser: argparse.ArgumentParser, placement_default: Optional[str]
+) -> None:
     target = parser.add_argument_group("target")
     target.add_argument(
-        "--placement", default="PS1",
+        "--placement", default=placement_default,
         help="registered placement name (see `repro list`); "
              "ignored when --mesh is given",
     )
@@ -243,6 +236,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--elevators", default=None, metavar="X,Y;X,Y",
         help='elevator columns of the ad-hoc placement, e.g. "0,0;1,1"',
     )
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_plugin_argument(parser)
+    _add_target_arguments(parser, "PS1")
     workload = parser.add_argument_group("workload")
     workload.add_argument(
         "--policies", default="elevator_first,cda,adele",
@@ -264,8 +262,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_backend_argument(target) -> None:
     target.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="simulation kernel (see `repro list`; backends are "
-             f"result-equivalent, default: {DEFAULT_BACKEND})",
+        help="simulation kernel (see `repro list`; reference and optimized "
+             "are bit-identical, vectorized matches them under its tolerance "
+             f"contract unless bit_exact is set; default: {DEFAULT_BACKEND})",
     )
 
 
@@ -426,20 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(run)
     _add_shard_arguments(run)
 
-    scenario = subparsers.add_parser(
-        "scenario",
-        help="run event-driven dynamic scenarios from a --spec JSON file",
-    )
-    _add_plugin_argument(scenario)
-    scenario.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="JSON file with one ExperimentSpec document (or a list); each "
-             "should carry a 'scenario' event timeline",
-    )
-    _add_backend_argument(scenario)
-    _add_engine_arguments(scenario)
-    _add_shard_arguments(scenario)
-
     optimize = subparsers.add_parser(
         "optimize",
         help="run the offline elevator-subset optimization (Fig. 3 front)",
@@ -463,19 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimizer", default=None, metavar="NAME",
         help="registered optimizer (see `repro list`; default: amosa)",
     )
-    target = optimize.add_argument_group("target")
-    target.add_argument(
-        "--placement", default=None,
-        help="registered placement name; ignored when --mesh is given",
-    )
-    target.add_argument(
-        "--mesh", nargs=3, type=int, metavar=("X", "Y", "Z"), default=None,
-        help="ad-hoc mesh dimensions for a custom placement",
-    )
-    target.add_argument(
-        "--elevators", default=None, metavar="X,Y;X,Y",
-        help='elevator columns of the ad-hoc placement, e.g. "0,0;1,1"',
-    )
+    _add_target_arguments(optimize, None)
     optimize.add_argument(
         "--traffic", default=None,
         help="assumed traffic pattern of the offline objectives "
@@ -653,33 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print health + raw metrics text as one JSON document",
     )
 
-    probe = subparsers.add_parser(
-        "probe",
-        help="run specs with a kernel probe and dump the sampled series",
-    )
-    _add_plugin_argument(probe)
-    probe.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="JSON file with one ExperimentSpec document or a list of them",
-    )
-    _add_backend_argument(probe)
-    probe.add_argument(
-        "--interval", type=int, default=100, metavar="N",
-        help="sample every N cycles (default: 100)",
-    )
-    probe.add_argument(
-        "--channels", default=None, metavar="C1,C2",
-        help=f"channel selection (default: all of {','.join(PROBE_CHANNELS)})",
-    )
-    probe.add_argument(
-        "--max-samples", type=int, default=4096, metavar="M",
-        help="bound on samples kept per run (default: 4096)",
-    )
-    probe.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write JSONL rows here (default: stdout)",
-    )
-
     listing = subparsers.add_parser(
         "list", help="list registered policies, traffic, applications, placements"
     )
@@ -691,21 +637,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _target_placement(args: argparse.Namespace) -> Optional[PlacementSpec]:
+    """The ``--mesh``/``--elevators`` placement, else ``--placement`` (if set)."""
+    if args.mesh is None:
+        if args.elevators:
+            raise SystemExit("--elevators requires --mesh")
+        if args.placement is None:
+            return None
+        return PlacementSpec(name=args.placement)
+    if not args.elevators:
+        raise SystemExit("--mesh requires --elevators")
+    return PlacementSpec(
+        name="cli-custom",
+        mesh=tuple(args.mesh),
+        columns=tuple(_parse_columns(args.elevators)),
+    )
+
+
 def _base_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if args.mesh is None and args.elevators:
-        raise SystemExit("--elevators requires --mesh")
-    if args.mesh is not None:
-        if not args.elevators:
-            raise SystemExit("--mesh requires --elevators")
-        placement = PlacementSpec(
-            name="cli-custom",
-            mesh=tuple(args.mesh),
-            columns=tuple(_parse_columns(args.elevators)),
-        )
-    else:
-        placement = PlacementSpec(name=args.placement)
     return ExperimentSpec(
-        placement=placement,
+        placement=_target_placement(args),
         traffic=TrafficSpec(pattern=args.traffic),
         sim=SimSpec(
             warmup_cycles=args.warmup,
@@ -934,7 +885,8 @@ def _run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_spec_documents(path: str) -> List[ExperimentSpec]:
+def _load_specs(path: str, spec_class) -> List[Any]:
+    """Parse a ``--spec`` file: one ``spec_class`` document or a list."""
     try:
         with open(path, "r") as handle:
             data = json.load(handle)
@@ -943,19 +895,21 @@ def _load_spec_documents(path: str) -> List[ExperimentSpec]:
     except ValueError as error:
         raise SystemExit(f"--spec file {path!r} is not valid JSON: {error}")
     documents = data if isinstance(data, list) else [data]
-    specs: List[ExperimentSpec] = []
+    specs = []
     for index, document in enumerate(documents):
         try:
-            specs.append(ExperimentSpec.from_dict(document))
+            specs.append(spec_class.from_dict(document))
         except ValueError as error:
             raise SystemExit(f"--spec file {path!r}, document {index}: {error}")
     if not specs:
-        raise SystemExit(f"--spec file {path!r} contains no experiment specs")
+        raise SystemExit(
+            f"--spec file {path!r} contains no {spec_class.__name__} documents"
+        )
     return specs
 
 
 def _run_specs(args: argparse.Namespace) -> int:
-    specs = _load_spec_documents(args.spec)
+    specs = _load_specs(args.spec, ExperimentSpec)
     if args.backend:
         specs = [spec.with_(backend=args.backend) for spec in specs]
     batch = _make_batch(args, specs)
@@ -981,42 +935,7 @@ def _run_specs(args: argparse.Namespace) -> int:
             f"{outcome.summary['average_latency']:12.2f} "
             f"{outcome.summary.get('throughput', float('nan')):11.4f}"
         )
-    return 0
-
-
-def _run_scenario(args: argparse.Namespace) -> int:
-    specs = _load_spec_documents(args.spec)
-    without = sum(1 for spec in specs if spec.scenario is None)
-    if without:
-        print(
-            f"[repro.exec] warning: {without} spec(s) carry no scenario "
-            "timeline; they run as plain static experiments",
-            file=sys.stderr,
-        )
-    if args.backend:
-        specs = [spec.with_(backend=args.backend) for spec in specs]
-    batch = _make_batch(args, specs)
-    outcomes = batch.run()
-    if args.json_output:
-        document = {
-            "command": "scenario",
-            "engine": _engine_document(batch),
-            "outcomes": [_outcome_document(outcome) for outcome in outcomes],
-        }
-        if batch.probe is not None:
-            document["probes"] = _probe_document(batch)
-        _print_json(document)
-        return 0
-    _report_engine(batch)
-    for outcome in outcomes:
-        spec = outcome.spec
-        events = len(spec.scenario.events) if spec.scenario is not None else 0
-        print(
-            f"{spec.placement.name} policy={spec.policy.name} "
-            f"traffic={spec.traffic.pattern} rate={spec.traffic.injection_rate:g} "
-            f"events={events} avg_latency={outcome.summary['average_latency']:.2f} "
-            f"delivery={outcome.summary['delivery_ratio'] * 100:.1f}%"
-        )
+        # Scenario specs: one indented row per measurement window.
         for phase in outcome.summary.get("phases", []):
             end = phase["end_cycle"]
             window = f"[{phase['start_cycle']},{'...' if end is None else end})"
@@ -1033,42 +952,13 @@ def _run_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_design_specs(path: str) -> List[DesignSpec]:
-    try:
-        with open(path, "r") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"cannot read --spec file {path!r}: {error}")
-    except ValueError as error:
-        raise SystemExit(f"--spec file {path!r} is not valid JSON: {error}")
-    documents = data if isinstance(data, list) else [data]
-    specs: List[DesignSpec] = []
-    for index, document in enumerate(documents):
-        try:
-            specs.append(DesignSpec.from_dict(document))
-        except ValueError as error:
-            raise SystemExit(f"--spec file {path!r}, document {index}: {error}")
-    if not specs:
-        raise SystemExit(f"--spec file {path!r} contains no design specs")
-    return specs
-
-
 def _apply_design_overrides(
     args: argparse.Namespace, spec: DesignSpec
 ) -> DesignSpec:
     changes = {}
-    if args.mesh is not None:
-        if not args.elevators:
-            raise SystemExit("--mesh requires --elevators")
-        changes["placement"] = PlacementSpec(
-            name="cli-custom",
-            mesh=tuple(args.mesh),
-            columns=tuple(_parse_columns(args.elevators)),
-        )
-    elif args.elevators:
-        raise SystemExit("--elevators requires --mesh")
-    elif args.placement:
-        changes["placement"] = PlacementSpec(name=args.placement)
+    placement = _target_placement(args)
+    if placement is not None:
+        changes["placement"] = placement
     if args.optimizer:
         changes["optimizer"] = args.optimizer
 
@@ -1099,7 +989,7 @@ def _apply_design_overrides(
 
 
 def _run_optimize(args: argparse.Namespace) -> int:
-    specs = _load_design_specs(args.spec) if args.spec else [DesignSpec()]
+    specs = _load_specs(args.spec, DesignSpec) if args.spec else [DesignSpec()]
     specs = [_apply_design_overrides(args, spec) for spec in specs]
 
     # Resolve optimizer names eagerly so typos surface as the registry's
@@ -1429,52 +1319,6 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_probe(args: argparse.Namespace) -> int:
-    specs = _load_spec_documents(args.spec)
-    if args.backend:
-        specs = [spec.with_(backend=args.backend) for spec in specs]
-    try:
-        channels = (
-            ProbeSpec.parse_channels(args.channels)
-            if args.channels else PROBE_CHANNELS
-        )
-        probe = ProbeSpec(
-            interval=args.interval,
-            channels=channels,
-            max_samples=args.max_samples,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    lines: List[str] = []
-    for index, spec in enumerate(specs):
-        with span("probe.run", spec=index):
-            result = run_experiment(spec, probe=probe)
-        series = result.probe
-        if series is None:  # pragma: no cover - every backend fills it
-            raise SystemExit(
-                f"backend {spec.sim.backend!r} returned no probe series"
-            )
-        for row in series.rows():
-            document = {"spec": index, **row} if len(specs) > 1 else row
-            lines.append(json.dumps(document, sort_keys=True))
-        print(
-            f"[repro.probe] spec {index}: {len(series.cycles)} sample(s) "
-            f"every {probe.interval} cycle(s), {series.dropped} dropped",
-            file=sys.stderr,
-        )
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write("\n".join(lines) + ("\n" if lines else ""))
-        print(
-            f"[repro.probe] {len(lines)} row(s) -> {args.out}",
-            file=sys.stderr,
-        )
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
 def _print_registry(title: str, registry) -> None:
     print(f"{title}:")
     for entry in registry.entries():
@@ -1531,8 +1375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_compare(args)
     if args.command == "run":
         return _run_specs(args)
-    if args.command == "scenario":
-        return _run_scenario(args)
     if args.command == "optimize":
         return _run_optimize(args)
     if args.command == "serve":
@@ -1557,8 +1399,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )  # pragma: no cover
     if args.command == "stats":
         return _run_stats(args)
-    if args.command == "probe":
-        return _run_probe(args)
     if args.command == "list":
         return _run_list(args)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover

@@ -9,7 +9,7 @@ on any hosts, in any order, with any worker counts -- agree on which shard
 owns which spec without coordinating.  That gives the batch engine
 horizontal scale past one process pool:
 
-* ``repro sweep --shard K/N`` (and ``run`` / ``scenario``) makes worker
+* ``repro sweep --shard K/N`` (and ``run``) makes worker
   ``K`` simulate only its slice, writing its own cache shard;
 * ``repro merge`` folds the shard caches back into one result set
   (:func:`repro.exec.aggregate.merge_results`), bit-identical to an

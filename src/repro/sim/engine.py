@@ -64,8 +64,8 @@ class SimulationResult:
         policy_name: Name of the elevator-selection policy that produced the
             run (for reporting).
         backend_name: Name of the simulation kernel that executed the run
-            (for reporting only -- backends are result-equivalent, so this
-            never appears in :meth:`summary`).
+            (for reporting only; it never appears in :meth:`summary` -- a
+            non-default backend is part of the spec's cache key instead).
         probe: The sampled :class:`~repro.obs.probes.ProbeSeries` of a
             probed run (``None`` otherwise).  Deliberately excluded from
             :meth:`summary` -- cached rows must be byte-identical whether

@@ -341,11 +341,13 @@ class SimSpec:
         buffer_depth: Input buffer depth in flits (Table I: 4).
         seed: Seed for traffic and policy randomness.
         backend: Simulation kernel executing the cycle loop (a name in
-            :data:`repro.sim.backends.BACKEND_REGISTRY`).  Backends are
-            result-equivalent, so the canonical serialization *omits* this
-            field when it equals the default -- cache keys (and cached
-            results) predating the field stay valid, and picking the
-            default backend explicitly never splits the cache.
+            :data:`repro.sim.backends.BACKEND_REGISTRY`).  The canonical
+            serialization *omits* this field when it equals the default --
+            cache keys (and cached results) predating the field stay valid,
+            and picking the default backend explicitly never splits the
+            cache.  ``reference`` is bit-identical to the default;
+            ``vectorized`` keeps its own key because it matches only under
+            its tolerance contract unless ``bit_exact`` is set.
         bit_exact: Force the selected backend to produce results
             bit-identical to the ``reference`` kernel even where its fast
             path only honors the documented tolerance contract (the

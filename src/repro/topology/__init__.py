@@ -7,8 +7,7 @@ network-on-chip (PC-3DNoC):
   node/coordinate conversion, neighbourhood queries, and Manhattan distances.
 * :mod:`repro.topology.elevators` -- elevator (vertical TSV link) placements,
   including the paper's ``PS1``--``PS3`` and ``PM`` patterns, a placement
-  registry, and an average-distance-driven placement optimizer used to
-  reproduce the "extracted to have an optimized average distance" placements.
+  registry, and the average source-elevator-destination distance metric.
 """
 
 from repro.topology.mesh3d import Coordinate, Mesh3D
@@ -18,7 +17,6 @@ from repro.topology.elevators import (
     ElevatorPlacement,
     available_placements,
     average_distance_of_placement,
-    optimize_placement,
     register_placement,
     standard_placement,
 )
@@ -32,6 +30,5 @@ __all__ = [
     "register_placement",
     "available_placements",
     "average_distance_of_placement",
-    "optimize_placement",
     "standard_placement",
 ]

@@ -1,8 +1,9 @@
 """Tests for the CLI's machine-readable surfaces.
 
 ``--json`` must emit exactly one parseable JSON document on stdout for
-``sweep`` / ``compare`` / ``run`` / ``scenario`` (no human tables mixed
-in), ``optimize`` must fan multi-document spec files over the design
+``sweep`` / ``compare`` / ``run`` (no human tables mixed in), ``run`` must
+print a scenario spec's phase rows and return probe series that match the
+library's, ``optimize`` must fan multi-document spec files over the design
 batch, and ``cache migrate`` must carry JSON entries into SQLite from the
 command line.
 """
@@ -13,7 +14,9 @@ import json
 
 import pytest
 
+from repro.analysis.runner import run_experiment
 from repro.exec.cli import main
+from repro.obs.probes import ProbeSpec
 from repro.service.store import SqliteStore
 from repro.spec import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
 
@@ -32,6 +35,16 @@ def _spec_file(tmp_path, documents) -> str:
     path = tmp_path / "specs.json"
     path.write_text(json.dumps(documents))
     return str(path)
+
+
+def _tiny_spec() -> ExperimentSpec:
+    return ExperimentSpec(
+        placement=PlacementSpec(
+            name="cli-json", mesh=(2, 2, 2), columns=((0, 0), (1, 1))
+        ),
+        traffic=TrafficSpec(pattern="uniform", injection_rate=0.002),
+        sim=SimSpec(warmup_cycles=10, measurement_cycles=40, drain_cycles=30),
+    )
 
 
 class TestJsonOutput:
@@ -61,14 +74,7 @@ class TestJsonOutput:
         assert "average_latency" in row and "average_latency_norm" in row
 
     def test_run_json(self, tmp_path, capsys):
-        spec = ExperimentSpec(
-            placement=PlacementSpec(
-                name="cli-json", mesh=(2, 2, 2), columns=((0, 0), (1, 1))
-            ),
-            traffic=TrafficSpec(pattern="uniform", injection_rate=0.002),
-            sim=SimSpec(warmup_cycles=10, measurement_cycles=40, drain_cycles=30),
-        )
-        path = _spec_file(tmp_path, [spec.to_dict()])
+        path = _spec_file(tmp_path, [_tiny_spec().to_dict()])
         assert main(["run", "--spec", path, "--json"]) == 0
         document = _capture_json(capsys)
         assert document["command"] == "run"
@@ -78,14 +84,7 @@ class TestJsonOutput:
         assert isinstance(outcome["key"], str) and not outcome["from_cache"]
 
     def test_scenario_json(self, tmp_path, capsys):
-        spec = ExperimentSpec(
-            placement=PlacementSpec(
-                name="cli-json", mesh=(2, 2, 2), columns=((0, 0), (1, 1))
-            ),
-            traffic=TrafficSpec(pattern="uniform", injection_rate=0.002),
-            sim=SimSpec(warmup_cycles=10, measurement_cycles=40, drain_cycles=30),
-        )
-        document = spec.to_dict()
+        document = _tiny_spec().to_dict()
         document["scenario"] = {
             "events": [
                 {"kind": "rate_ramp", "cycle": 10, "end_cycle": 30,
@@ -93,10 +92,36 @@ class TestJsonOutput:
             ]
         }
         path = _spec_file(tmp_path, [document])
-        assert main(["scenario", "--spec", path, "--json"]) == 0
+        assert main(["run", "--spec", path, "--json"]) == 0
         parsed = _capture_json(capsys)
-        assert parsed["command"] == "scenario"
+        assert parsed["command"] == "run"
         assert len(parsed["outcomes"]) == 1
+
+    def test_run_prints_scenario_phase_rows(self, tmp_path, capsys):
+        document = _tiny_spec().to_dict()
+        document["scenario"] = {
+            "events": [{"kind": "elevator_fault", "cycle": 20, "elevator": 0}]
+        }
+        path = _spec_file(tmp_path, [document])
+        assert main(["run", "--spec", path]) == 0
+        assert "fault:e0@20" in capsys.readouterr().out
+
+    def test_run_probe_series_match_the_library(self, tmp_path, capsys):
+        spec = _tiny_spec()
+        path = _spec_file(tmp_path, [spec.to_dict()])
+        assert main(["run", "--spec", path, "--json"]) == 0
+        plain = _capture_json(capsys)
+        assert main([
+            "run", "--spec", path, "--probe-interval", "10",
+            "--probe-channels", "in_flight_flits", "--json",
+        ]) == 0
+        probed = _capture_json(capsys)
+        (outcome,) = probed["outcomes"]
+        expected = run_experiment(
+            spec, probe=ProbeSpec(10, ("in_flight_flits",))
+        ).probe.to_dict()
+        assert probed["probes"] == {outcome["key"]: expected}
+        assert outcome["summary"] == plain["outcomes"][0]["summary"]
 
     def test_json_reruns_hit_the_sqlite_cache(self, tmp_path, capsys):
         args = [

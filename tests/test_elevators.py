@@ -5,7 +5,6 @@ import pytest
 from repro.topology.elevators import (
     ElevatorPlacement,
     average_distance_of_placement,
-    optimize_placement,
     standard_placement,
 )
 from repro.topology.mesh3d import Mesh3D
@@ -182,31 +181,3 @@ class TestAverageDistanceAndOptimizer:
         traffic = {(src, dst): 1.0}
         # Only this pair counts; it sits exactly on the (0, 0) elevator.
         assert average_distance_of_placement(small_placement, traffic) == 1.0
-
-    def test_optimizer_beats_or_matches_corner_placement(self):
-        mesh = Mesh3D(4, 4, 2)
-        optimized = optimize_placement(mesh, 2, iterations=120, seed=3)
-        corner = ElevatorPlacement(mesh, [(0, 0), (0, 1)])
-        assert average_distance_of_placement(
-            optimized
-        ) <= average_distance_of_placement(corner)
-
-    def test_optimizer_respects_elevator_count(self):
-        mesh = Mesh3D(4, 4, 2)
-        placement = optimize_placement(mesh, 3, iterations=50, seed=1)
-        assert placement.num_elevators == 3
-        assert len(set(placement.columns())) == 3
-
-    def test_optimizer_rejects_bad_counts(self):
-        mesh = Mesh3D(2, 2, 2)
-        with pytest.raises(ValueError):
-            optimize_placement(mesh, 0)
-        with pytest.raises(ValueError):
-            optimize_placement(mesh, 5)
-
-    def test_optimizer_is_deterministic_for_seed(self):
-        mesh = Mesh3D(4, 4, 2)
-        a = optimize_placement(mesh, 2, iterations=60, seed=9)
-        b = optimize_placement(mesh, 2, iterations=60, seed=9)
-        assert a.columns() == b.columns()
-

@@ -1,7 +1,5 @@
 """The pluggable optimizer registry and the three built-in optimizers."""
 
-import random
-
 import pytest
 
 from repro.analysis.runner import DesignCache, adele_design_for

@@ -283,8 +283,9 @@ class TestCrossBackendMatrix:
             )
             assert _full_comparison(reference) == _full_comparison(other), backend
 
-    def test_fault_excludes_elevator_from_new_assignments(self):
-        spec = _spec(policy="adele", scenario=ScenarioSpec(events=(
+    @pytest.mark.parametrize("policy", ["elevator_first", "cda", "adele"])
+    def test_fault_excludes_elevator_from_new_assignments(self, policy):
+        spec = _spec(policy=policy, scenario=ScenarioSpec(events=(
             ElevatorFault(cycle=0, elevator=0),
         )))
         result = run_experiment(spec)
