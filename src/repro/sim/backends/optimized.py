@@ -8,14 +8,34 @@ Why it is faster
     proportional to the traffic that actually exists:
 
     * only routers holding at least one flit (the *active set*) are
-      evaluated, in ascending node-id order;
-    * each active router iterates only its *occupied* input channels,
-      tracked as a 14-bit occupancy mask, instead of all port x VC pairs;
+      evaluated, and only their *occupied* input channels (a 14-bit mask);
     * routes come from the precomputed lookup tables of
       :class:`repro.routing.base.PrecomputedRoutes`;
-    * end-of-cycle commits visit only the buffers that received a staged
-      flit this cycle, and the idle check during drain is an O(1) counter
-      comparison.
+    * each output port's requests form a bitmask over the input channels,
+      arbitrated by walking it rotated at the round-robin pointer;
+    * buffers are reached through flat tables of their own ``_fifo`` /
+      ``_staged`` objects; the commit visits only buffers that received a
+      staged flit, and the drain-time idle check is an O(1) comparison.
+
+One scan, then the commit
+    The reference kernel makes three passes per cycle: route computation
+    over all routers, allocation and traversal over all routers, commit.
+    Here the first two are one ascending node-id scan that routes,
+    arbitrates and traverses router by router, followed by the commit.
+    The order of everything observable is kept:
+
+    * a router's routes depend only on its own buffer fronts and on
+      ``port_for``, a pure table lookup; another router's traversal only
+      *stages* flits, invisible until the commit, so routing a router just
+      before its own allocation picks the same ports as a separate pass;
+    * within a router, output ports are served in first-request order and
+      candidates in ``(channel - pointer) % num_channels`` order, as in the
+      reference kernel, which fixes the order of AdEle's
+      ``notify_source_latency`` calls and of ``record_packet_delivered``;
+    * routers are visited in ascending node-id order, so a slot freed by a
+      pop is seen by the higher-id routers after it, exactly as in the
+      reference kernel's full scan.  That order is observable through
+      credit backpressure and statistics order, so it is semantics.
 
 Active-set invariants
     * ``self.active`` *over-approximates* the routers holding flits: a node
@@ -36,63 +56,56 @@ Active-set invariants
       and is deliberately **not** cleared by pruning: when the next flit of
       the convoy arrives, the router re-enters the active set and resumes
       with its allocation intact.
-    * Routers are evaluated in ascending node-id order, exactly like the
-      reference kernel's full scan.  Evaluation order is observable through
-      downstream buffer occupancy (credit backpressure) and the order
-      statistics accumulate, so it is part of the semantics, not a free
-      choice.
 
 Equivalence
-    Packet creation routes through the same
-    :class:`~repro.sim.network.Network` method the reference kernel uses.
-    Injection, flit delivery and the end-of-cycle commit are inlined here,
-    mirroring :meth:`Network.inject`, :meth:`Network.deliver_flit` and
-    :meth:`FlitBuffer.commit` effect for effect and in the same order
-    (queue visiting order; router-traversal count, source-side exit cycles
-    and AdEle's latency feedback, ejection or link statistics, hop counts,
-    staging), so the kernel can maintain its counters without a method
-    call per flit.  Both guards of the reference path survive: a flit
-    routed through a missing link raises ``RuntimeError`` and a flit staged
-    into a full buffer raises ``OverflowError``.  For the duration of a run
-    the kernel installs its per-router flit counter as the network's
-    occupancy provider (:meth:`Network.set_occupancy_provider`), cleared in
-    :meth:`_ActiveSetKernel.close`: packets are created between cycles,
-    when nothing is staged, so the counter equals the visible occupancy
-    CDA reads.  The cross-backend matrix in ``tests/test_backends.py``
-    asserts bit-identical results.  One caveat: allocation state lives in
-    this kernel's flat arrays, so the per-:class:`~repro.sim.router.Router`
-    introspection dicts (``current_route`` / ``output_owner``) are stale
-    *while* an optimized run executes; the kernel writes them back when the
-    run completes (:meth:`_ActiveSetKernel.sync_back`), so a finished
-    network -- even one left saturated with in-flight wormholes -- can be
-    inspected, reset, or run again with either backend.
+    Packet creation goes through the same :class:`~repro.sim.network.Network`
+    method the reference kernel uses.  Injection (with its
+    ``record_flit_injected`` statistics), flit delivery and the commit are
+    inlined, mirroring :meth:`Network.inject`, :meth:`Network.deliver_flit`
+    and :meth:`FlitBuffer.commit` effect for effect and in the same order,
+    so the kernel maintains its counters without a method call per flit.
+    Both guards survive: a flit routed through a missing link raises
+    ``RuntimeError``; a flit staged into a full buffer, ``OverflowError``.
+    During a run the per-router flit counter is the network's occupancy
+    provider (:meth:`Network.set_occupancy_provider`, cleared in
+    :meth:`_ActiveSetKernel.close`): packets are created between cycles,
+    when nothing is staged, so it equals the visible occupancy CDA reads.
+    The cross-backend matrix in ``tests/test_backends.py`` asserts
+    bit-identical results.  Allocation state lives in the flat arrays, so
+    the :class:`~repro.sim.router.Router` introspection dicts are stale
+    *while* a run executes; :meth:`_ActiveSetKernel.sync_back` writes them
+    back at the end, so a finished network -- even one left saturated
+    with in-flight wormholes -- can be inspected, reset or run again with
+    either backend.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
 from repro.sim.backends import SimulatorBackend, register_backend
 from repro.sim.router import OPPOSITE_PORT, Port, VERTICAL_PORTS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.buffer import FlitBuffer
+    from repro.sim.flit import Flit
     from repro.sim.network import Network
 
 
 class _ActiveSetKernel:
-    """Per-run flattened state + the three-phase active-set cycle step."""
+    """Per-run flattened state + the one-scan active-set cycle step."""
 
     def __init__(self, network: "Network") -> None:
         self.network = network
         self.routes = network._route_computation.tables
         num_vcs = network.num_vcs
         self.num_vcs = num_vcs
+        #: Every input buffer has this depth (``Network.buffer_depth``).
+        self.depth = network.buffer_depth
         ports = list(Port)
         #: Input channels in arbitration order -- identical to
         #: ``Router._channel_order`` (port-major, VC-minor).
         self.channel_keys = [(port, vc) for port in ports for vc in range(num_vcs)]
-        self.num_channels = len(self.channel_keys)
+        num_channels = self.num_channels = len(self.channel_keys)
         #: Channel-index base of the input port a flit staged through a
         #: given output port lands on (``OPPOSITE_PORT * num_vcs``).
         self.opp_base = {
@@ -102,39 +115,27 @@ class _ActiveSetKernel:
         #: Per output port: whether its link is vertical (a TSV).
         self.vertical_port = [port in VERTICAL_PORTS for port in ports]
 
-        #: Per router: input buffers in channel order.
-        self.buffers: List[List["FlitBuffer"]] = []
-        #: Per router: downstream input buffer per (output port, VC), or
-        #: ``None`` when the link is missing (LOCAL entries are unused --
-        #: ejection needs no space check).
-        self.down: List[List[List[Optional["FlitBuffer"]]]] = []
+        #: Per router, in channel order: each input buffer's visible FIFO
+        #: and staged-arrival list -- the ``FlitBuffer``'s own objects.
+        self.fifos: List[List[Deque["Flit"]]] = []
+        self.staged: List[List[List["Flit"]]] = []
+        #: Per router, per output channel (``out_port * num_vcs + vc``): the
+        #: downstream input buffer's FIFO and staged list, ``None`` when
+        #: the link is missing (LOCAL entries stay ``None`` -- ejection
+        #: needs no space check).
+        self.down_fifo: List[List[Optional[Deque["Flit"]]]] = []
+        self.down_staged: List[List[Optional[List["Flit"]]]] = []
         #: Per router: neighbour node id per output port (None = no link).
         self.neighbor_id: List[List[Optional[int]]] = []
         for router in network.routers:
-            self.buffers.append(
-                [router.input_buffers[key] for key in self.channel_keys]
-            )
-            per_port: List[List[Optional["FlitBuffer"]]] = []
-            neighbors: List[Optional[int]] = []
-            for port in ports:
-                neighbor = (
-                    None
-                    if port == Port.LOCAL
-                    else network.neighbor(router.node_id, port)
-                )
-                neighbors.append(neighbor)
-                if neighbor is None:
-                    per_port.append([None] * num_vcs)
-                else:
-                    in_port = OPPOSITE_PORT[port]
-                    per_port.append(
-                        [
-                            network.routers[neighbor].buffer(in_port, vc)
-                            for vc in range(num_vcs)
-                        ]
-                    )
-            self.down.append(per_port)
-            self.neighbor_id.append(neighbors)
+            bufs = [router.input_buffers[key] for key in self.channel_keys]
+            self.fifos.append([buf._fifo for buf in bufs])
+            self.staged.append([buf._staged for buf in bufs])
+            self.down_fifo.append([None] * num_channels)
+            self.down_staged.append([None] * num_channels)
+            self.neighbor_id.append([None] * len(ports))
+            for port in ports[1:]:
+                self._link(router.node_id, port)
 
         # Flat allocation state, seeded from the routers so a reset (or
         # fresh) network starts from the same blank slate the reference
@@ -145,25 +146,26 @@ class _ActiveSetKernel:
         self.rr: List[List[int]] = []
         for router in network.routers:
             self.route.append([router._route[key] for key in self.channel_keys])
-            owners: List[Optional[int]] = [None] * self.num_channels
+            owners: List[Optional[int]] = [None] * num_channels
             for port in ports:
                 for vc in range(num_vcs):
                     holder = router._output_owner[(port, vc)]
                     if holder is not None:
                         owners[port * num_vcs + vc] = key_index[holder]
             self.owner.append(owners)
-            self.rr.append([router._rr_pointer[port] for port in ports])
+            self.rr.append([router._rr_pointer[port] % num_channels for port in ports])
 
         # Occupancy tracking: flits per router, occupied-channel bitmask
-        # per router, total flits buffered network-wide, and the buffers
-        # that received staged flits this cycle (commit worklist).
+        # per router, total flits buffered network-wide, and the
+        # (fifo, staged) pairs that received staged flits this cycle
+        # (commit worklist).
         self.count: List[int] = []
         self.mask: List[int] = []
-        for bufs in self.buffers:
+        for fifos, staged in zip(self.fifos, self.staged):
             mask = 0
             flits = 0
-            for idx, buf in enumerate(bufs):
-                occupancy = buf.total_occupancy
+            for idx, fifo in enumerate(fifos):
+                occupancy = len(fifo) + len(staged[idx])
                 if occupancy:
                     mask |= 1 << idx
                     flits += occupancy
@@ -171,7 +173,7 @@ class _ActiveSetKernel:
             self.count.append(flits)
         self.total_flits = sum(self.count)
         self.active = {node for node, flits in enumerate(self.count) if flits}
-        self.staged_buffers: List["FlitBuffer"] = []
+        self.commits: List[Tuple[Deque["Flit"], List["Flit"]]] = []
 
         # Scenario topology events (elevator fault/repair) change vertical
         # links mid-run; the network notifies this kernel so the flattened
@@ -186,53 +188,55 @@ class _ActiveSetKernel:
         self.network.set_occupancy_provider(None)
         self.network.remove_topology_listener(self._on_topology_change)
 
+    def _link(self, node: int, port: Port) -> None:
+        """Point one output port's table entries at its current neighbour."""
+        neighbor = self.network.neighbor(node, port)
+        self.neighbor_id[node][port] = neighbor
+        for vc in range(self.num_vcs):
+            buf = None if neighbor is None else self.network.routers[neighbor].buffer(
+                OPPOSITE_PORT[port], vc
+            )
+            out_key = port * self.num_vcs + vc
+            self.down_fifo[node][out_key] = None if buf is None else buf._fifo
+            self.down_staged[node][out_key] = None if buf is None else buf._staged
+
     def _on_topology_change(self, nodes) -> None:
         """Rebuild the cached vertical-link structure of changed routers.
 
-        Only ``down`` (downstream input buffers per output port/VC) and
-        ``neighbor_id`` depend on link existence; allocation state, routes
-        and occupancy counters describe flits, which a topology event never
-        touches -- flits cut off from their path simply stall until a
-        repair, exactly as under the reference kernel.
+        Only the downstream tables and ``neighbor_id`` depend on link
+        existence; allocation state, routes and occupancy counters describe
+        flits, which a topology event never touches -- flits cut off from
+        their path simply stall until a repair, exactly as under the
+        reference kernel.
         """
-        network = self.network
-        num_vcs = self.num_vcs
-        routers = network.routers
         for node in nodes:
             for port in VERTICAL_PORTS:
-                neighbor = network.neighbor(node, port)
-                self.neighbor_id[node][port] = neighbor
-                if neighbor is None:
-                    self.down[node][port] = [None] * num_vcs
-                else:
-                    in_port = OPPOSITE_PORT[port]
-                    self.down[node][port] = [
-                        routers[neighbor].buffer(in_port, vc)
-                        for vc in range(num_vcs)
-                    ]
+                self._link(node, port)
 
     # ------------------------------------------------------------------ #
     def inject(self, cycle: int) -> None:
         """Drain live injection queues into LOCAL buffers (O(active)).
 
-        Mirrors :meth:`repro.sim.network.Network.inject` exactly --
-        same queue visiting order, same per-flit bookkeeping -- while
-        updating the kernel's occupancy counters in the same pass.
+        Mirrors :meth:`repro.sim.network.Network.inject` and
+        :meth:`SimulationStats.record_flit_injected` exactly -- same queue
+        visiting order, same per-flit bookkeeping -- while updating the
+        kernel's occupancy counters in the same pass.
         """
         network = self.network
         live = network._live_queues
         if not live:
             return
         stats = network.stats
+        measurement_start = stats.measurement_start
+        phase = stats._phase
         queues = network._injection_queues
+        depth = self.depth
         for key in sorted(live):
             queue = queues[key]
             node, vc = key
             # LOCAL is port 0, so the channel index of (LOCAL, vc) is vc.
-            buf = self.buffers[node][vc]
-            fifo = buf._fifo
-            staged_flits = buf._staged
-            depth = buf.depth
+            fifo = self.fifos[node][vc]
+            staged_flits = self.staged[node][vc]
             staged = 0
             while queue and len(fifo) + len(staged_flits) < depth:
                 flit = queue.popleft()
@@ -241,14 +245,17 @@ class _ActiveSetKernel:
                     packet.injection_cycle = cycle
                 staged_flits.append(flit)
                 staged += 1
-                stats.record_flit_injected(packet, cycle)
+                if packet.creation_cycle >= measurement_start:
+                    stats.flits_injected += 1
+                    if phase is not None:
+                        phase.flits_injected += 1
             if staged:
                 self.count[node] += staged
                 self.total_flits += staged
                 self.mask[node] |= 1 << vc
                 self.active.add(node)
                 network._active_routers.add(node)
-                self.staged_buffers.append(buf)
+                self.commits.append((fifo, staged_flits))
             if not queue:
                 live.discard(key)
 
@@ -292,47 +299,22 @@ class _ActiveSetKernel:
         }]
 
     def step(self, cycle: int) -> None:
-        """One cycle: route, allocate/traverse, commit -- active flits only."""
+        """One cycle: one ascending scan over the active routers (route,
+        allocate, traverse), then the commit."""
         network = self.network
-        active = sorted(self.active)
         num_vcs = self.num_vcs
+        num_channels = self.num_channels
+        depth = self.depth
         port_for = self.routes.port_for
-        all_buffers = self.buffers
-        all_routes = self.route
-
-        # Phase 1: route computation -- head flits at buffer fronts claim
-        # an output port (held until their tail flit traverses).
-        # The loops below read and write FlitBuffer internals (``_fifo`` /
-        # ``_staged``) directly: this is the hottest code in the repository
-        # and attribute loads beat method dispatch.  Every write mirrors a
-        # buffer method -- ``pop``, ``stage`` with its full-buffer guard,
-        # ``commit`` -- so the two-phase invariants hold as they do there.
-        for node in active:
-            bufs = all_buffers[node]
-            route = all_routes[node]
-            bits = self.mask[node]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                idx = low.bit_length() - 1
-                if route[idx] is not None:
-                    continue
-                fifo = bufs[idx]._fifo
-                if not fifo:
-                    continue
-                flit = fifo[0]
-                if not flit.flit_type.is_head:
-                    continue
-                packet = flit.packet
-                route[idx] = port_for(
-                    node, packet.destination, packet.elevator_column
-                )
-
-        # Phase 2: switch allocation and traversal, ascending node order
-        # (one flit per output port; round-robin over competing input VCs).
-        # Each granted flit is delivered inline, mirroring
-        # :meth:`Network.deliver_flit` effect for effect and in the same
-        # order; the stats window and phase cannot change inside a step.
+        # The loops below read and write FlitBuffer internals (the flat
+        # ``_fifo`` / ``_staged`` tables) directly: this is the hottest code
+        # in the repository and attribute loads beat method dispatch.  Every
+        # write mirrors a buffer method -- ``pop``, ``stage`` with its
+        # full-buffer guard, ``commit`` -- so the two-phase invariants hold
+        # as they do there.  Each granted flit is delivered inline,
+        # mirroring :meth:`Network.deliver_flit` effect for effect and in
+        # the same order; the stats window and phase cannot change inside a
+        # step.
         stats = network.stats
         measuring = cycle >= stats.measurement_start
         measurement_start = stats.measurement_start
@@ -343,47 +325,86 @@ class _ActiveSetKernel:
         notify_source_latency = network.policy.notify_source_latency
         network_active = network._active_routers
         vertical_port = self.vertical_port
-        neighbor_ids = self.neighbor_id
         opp_base = self.opp_base
         active_set = self.active
-        num_channels = self.num_channels
         count = self.count
         mask = self.mask
-        staged_buffers = self.staged_buffers
-        for node in active:
-            bufs = all_buffers[node]
+        commits = self.commits
+        all_fifos = self.fifos
+        all_staged = self.staged
+        all_routes = self.route
+        all_owners = self.owner
+        all_rr = self.rr
+        all_down_fifo = self.down_fifo
+        all_down_staged = self.down_staged
+        neighbor_ids = self.neighbor_id
+        # Routers whose last flit left during the scan; pruned after the
+        # commit unless a later router staged a flit into them.
+        emptied = []
+        for node in sorted(active_set):
+            fifos = all_fifos[node]
             route = all_routes[node]
+            # Route computation for head flits at buffer fronts (held until
+            # their tail traverses), and one request bitmask per output
+            # port; the dict keeps ports in first-request order.
             requests = None
             bits = mask[node]
             while bits:
                 low = bits & -bits
                 bits ^= low
                 idx = low.bit_length() - 1
-                out_port = route[idx]
-                if out_port is None or not bufs[idx]._fifo:
+                fifo = fifos[idx]
+                if not fifo:
                     continue
+                out_port = route[idx]
+                if out_port is None:
+                    flit = fifo[0]
+                    if not flit.flit_type.is_head:
+                        continue
+                    packet = flit.packet
+                    out_port = route[idx] = port_for(
+                        node, packet.destination, packet.elevator_column
+                    )
                 if requests is None:
-                    requests = {}
-                requests.setdefault(out_port, []).append(idx)
+                    requests = {out_port: low}
+                elif out_port in requests:
+                    requests[out_port] |= low
+                else:
+                    requests[out_port] = low
             if requests is None:
                 continue
-            owner = self.owner[node]
-            rr = self.rr[node]
-            down = self.down[node]
+
+            # Switch allocation and traversal: one flit per output port,
+            # round-robin over the requesting input channels.
+            owner = all_owners[node]
+            rr = all_rr[node]
+            staged_lists = all_staged[node]
+            down_fifo = all_down_fifo[node]
+            down_staged = all_down_staged[node]
             for out_port, candidates in requests.items():
-                pointer = rr[out_port] % num_channels
-                if len(candidates) > 1:
-                    candidates.sort(key=lambda i: (i - pointer) % num_channels)
-                winner = None
-                winner_vc = 0
-                for idx in candidates:
-                    fifo = bufs[idx]._fifo
-                    if not fifo:
-                        continue
-                    flit = fifo[0]
-                    out_vc = flit.packet.virtual_network
-                    holder = owner[out_port * num_vcs + out_vc]
-                    if flit.flit_type.is_head:
+                # Rotate a multi-request mask so channel ``pointer`` is bit
+                # 0: ascending bits are then ``(idx - pointer) % num_channels``.
+                if candidates & (candidates - 1):
+                    pointer = rr[out_port]
+                    candidates = (candidates >> pointer) | (
+                        (candidates & ((1 << pointer) - 1)) << (num_channels - pointer)
+                    )
+                else:
+                    pointer = 0
+                out_base = out_port * num_vcs
+                winner = -1
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    idx = low.bit_length() - 1 + pointer
+                    if idx >= num_channels:
+                        idx -= num_channels
+                    flit = fifos[idx][0]
+                    packet = flit.packet
+                    out_key = out_base + packet.virtual_network
+                    holder = owner[out_key]
+                    flit_type = flit.flit_type
+                    if flit_type.is_head:
                         # A head flit needs the output VC free (or already
                         # its own in the single-flit re-request case).
                         if holder is not None and holder != idx:
@@ -391,25 +412,20 @@ class _ActiveSetKernel:
                     elif holder != idx:
                         # Body/tail flits only follow their own wormhole.
                         continue
-                    if out_port != Port.LOCAL:
-                        downstream = down[out_port][out_vc]
+                    if out_port:  # not LOCAL: needs a link and a free slot
+                        downstream = down_fifo[out_key]
                         if downstream is None or (
-                            len(downstream._fifo) + len(downstream._staged)
-                            >= downstream.depth
+                            len(downstream) + len(down_staged[out_key]) >= depth
                         ):
                             continue
                     winner = idx
-                    winner_vc = out_vc
                     break
-                if winner is None:
+                if winner < 0:
                     continue
-                buf = bufs[winner]
-                fifo = buf._fifo
-                flit = fifo.popleft()
-                flit_type = flit.flit_type
+                fifo = fifos[winner]
+                fifo.popleft()
                 is_head = flit_type.is_head
                 is_tail = flit_type.is_tail
-                out_key = out_port * num_vcs + winner_vc
                 if is_head:
                     owner[out_key] = winner
                 if is_tail:
@@ -417,12 +433,13 @@ class _ActiveSetKernel:
                     route[winner] = None
                 rr[out_port] = (winner + 1) % num_channels
                 count[node] -= 1
-                if not (fifo or buf._staged):
+                if not (fifo or staged_lists[winner]):
                     mask[node] &= ~(1 << winner)
+                    if not count[node]:
+                        emptied.append(node)
 
                 # Delivery: router traversal, source-side exit cycles,
                 # then ejection or the link hop into the next buffer.
-                packet = flit.packet
                 if measuring:
                     traversals[node] = traversals_get(node, 0) + 1
                     if phase is not None:
@@ -438,7 +455,7 @@ class _ActiveSetKernel:
                             notify_source_latency(
                                 packet.source, packet.elevator_index, metric, cycle
                             )
-                if out_port == Port.LOCAL:
+                if not out_port:  # LOCAL: ejection
                     self.total_flits -= 1
                     if packet.creation_cycle >= measurement_start:
                         stats.flits_delivered += 1
@@ -470,35 +487,35 @@ class _ActiveSetKernel:
                     packet.hops += 1
                     if vertical:
                         packet.vertical_hops += 1
-                downstream = down[out_port][winner_vc]
-                staged = downstream._staged
-                if len(downstream._fifo) + len(staged) >= downstream.depth:
+                downstream = down_fifo[out_key]
+                staged = down_staged[out_key]
+                if len(downstream) + len(staged) >= depth:
                     raise OverflowError(
                         "flit arrived at a full buffer (flow-control bug)"
                     )
                 staged.append(flit)
                 network_active.add(neighbor)
                 count[neighbor] += 1
-                mask[neighbor] |= 1 << (opp_base[out_port] + winner_vc)
+                mask[neighbor] |= 1 << (opp_base[out_port] + packet.virtual_network)
                 active_set.add(neighbor)
-                staged_buffers.append(downstream)
+                commits.append((downstream, staged))
 
-        # Phase 3: commit the buffers that received staged flits this cycle
+        # Commit the buffers that received staged flits this cycle
         # (:meth:`FlitBuffer.commit`, inlined; a buffer listed twice has
         # nothing left to move the second time) and prune routers whose
         # flit counter dropped to zero.  Pruning only drops iteration work
         # -- allocation state survives in the flat arrays (see the module
         # docstring's invariants).
-        if staged_buffers:
-            for buf in staged_buffers:
-                staged = buf._staged
+        if commits:
+            for fifo, staged in commits:
                 if staged:
-                    buf._fifo.extend(staged)
+                    fifo.extend(staged)
                     staged.clear()
-            staged_buffers.clear()
-        pruned = [node for node in active_set if not count[node]]
-        for node in pruned:
-            active_set.discard(node)
+            commits.clear()
+        if emptied:
+            for node in emptied:
+                if not count[node]:
+                    active_set.discard(node)
 
     def sync_back(self) -> None:
         """Write the flat allocation state back into the Router dicts.

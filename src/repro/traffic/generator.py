@@ -85,12 +85,19 @@ class BernoulliPacketSource(PacketSource):
 
     def requests(self, cycle: int) -> List[PacketRequest]:
         requests: List[PacketRequest] = []
-        for source in self.pattern.mesh.nodes():
-            if self.rng.random() < self.packet_probability:
-                destination = self.pattern.destination(source)
-                length = self.rng.randint(
-                    self.min_packet_length, self.max_packet_length
-                )
+        # Polled once per cycle over every node: bind the hot lookups once.
+        # The RNG call order (random, then destination, then randint per
+        # injecting node) is the reproducibility contract.
+        rng_random = self.rng.random
+        randint = self.rng.randint
+        pick_destination = self.pattern.destination
+        probability = self.packet_probability
+        min_length = self.min_packet_length
+        max_length = self.max_packet_length
+        for source in range(self.pattern.mesh.num_nodes):
+            if rng_random() < probability:
+                destination = pick_destination(source)
+                length = randint(min_length, max_length)
                 requests.append(
                     PacketRequest(source=source, destination=destination, length=length)
                 )

@@ -37,7 +37,9 @@ from repro.sim.backends import (
 from repro.sim.backends.optimized import OptimizedBackend
 from repro.sim.backends.reference import ReferenceBackend
 from repro.sim.engine import Simulator
+from repro.sim.flit import Packet
 from repro.sim.network import Network
+from repro.sim.router import Port
 from repro.sim.stats import SimulationStats
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 from repro.topology.elevators import ElevatorPlacement
@@ -413,6 +415,74 @@ class TestHypothesisEquivalence:
             assert _full_stats_fields(ref.stats) == (
                 _full_stats_fields(other.stats)
             ), backend
+
+
+class TestArbitrationOrder:
+    """Round-robin switch allocation grants in the same order in every
+    kernel, and the allocation state each kernel writes back agrees."""
+
+    #: (port, vc) input channels (indices 2, 7 and 8 in port-major,
+    #: VC-minor order) that all request the LOCAL output, and a pointer
+    #: between them: the round-robin order wraps to 7, 8, 2.
+    CHANNELS = ((Port.EAST, 0), (Port.NORTH, 1), (Port.SOUTH, 0))
+    POINTER = 5
+
+    def _grant_order(self, backend: str) -> tuple:
+        placement = _placement()
+        network = Network(placement, make_policy("elevator_first", placement))
+        node = placement.mesh.node_id_xyz(1, 1, 0)
+        router = network.routers[node]
+        packets = {}
+        for port, vc in self.CHANNELS:
+            packet = Packet(
+                source=0, destination=node, length=1, creation_cycle=0,
+                virtual_network=vc, injection_cycle=0,
+            )
+            buf = router.buffer(port, vc)
+            buf.stage(packet.make_flits()[0])
+            buf.commit()
+            packets[port * network.num_vcs + vc] = packet
+        router._rr_pointer[Port.LOCAL] = self.POINTER
+        kernel = resolve_backend(backend).kernel(
+            [network], bit_exact=(backend in BIT_EXACT_BACKENDS)
+        )
+        for cycle in range(len(self.CHANNELS)):
+            kernel.step(cycle)
+        kernel.sync_back()
+        kernel.close()
+        order = sorted(packets, key=lambda idx: packets[idx].delivery_cycle)
+        return tuple(order), router._rr_pointer[Port.LOCAL]
+
+    def test_wrapped_round_robin_grant_order_identical(self):
+        ref = self._grant_order("reference")
+        assert ref == ((7, 8, 2), 3)
+        for backend in ALL_BACKENDS[1:]:
+            assert self._grant_order(backend) == ref, backend
+
+    def test_written_back_allocation_state_identical_after_saturation(self):
+        """``sync_back`` leaves ``_rr_pointer`` / ``_output_owner`` /
+        ``_route`` exactly as the reference kernel leaves them, mid-wormhole."""
+        states = {}
+        for backend in ALL_BACKENDS:
+            placement = _placement()
+            network = Network(placement, make_policy("elevator_first", placement))
+            source = BernoulliPacketSource(
+                UniformTraffic(placement.mesh, seed=7), 0.2, seed=7
+            )
+            result = Simulator(
+                network, source, 10, 80, 30,
+                backend=backend, bit_exact=(backend in BIT_EXACT_BACKENDS),
+            ).run()
+            assert result.drain_cycles_used == 30  # saturated: drain exhausted
+            states[backend] = [
+                (router._rr_pointer, router._output_owner, router._route)
+                for router in network.routers
+            ]
+        ref = states["reference"]
+        # The saturated network really is left mid-wormhole.
+        assert any(owner for _, owners, _ in ref for owner in owners.values())
+        for backend in ALL_BACKENDS[1:]:
+            assert states[backend] == ref, backend
 
 
 class TestActiveSetInvariants:
